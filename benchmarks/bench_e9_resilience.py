@@ -1,8 +1,9 @@
 """E9 — resilience: guarded pipelines survive injected faults.
 
 Not a paper experiment but an infrastructure one: the guarded pass
-manager snapshots every function before every pass application, so a
-buggy pass (here: chaos-injected crashes and IR corruptions) rolls back
+manager keeps a snapshot of the function it runs (kept across unchanged
+applications and taken again after a change or rollback), so a buggy
+pass (here: chaos-injected crashes and IR corruptions) rolls back
 instead of corrupting the module or killing the run.  We measure the
 two claims that make the machinery usable:
 
@@ -70,7 +71,7 @@ def test_chaos_raise_storm_still_compiles():
 
 
 def test_guard_overhead_is_a_constant_factor():
-    """Snapshot-per-application costs a multiple of the plain pipeline,
+    """Snapshots plus verify-each cost a multiple of the plain pipeline,
     not an asymptotic blowup.  The bound is deliberately loose: this
     guards against O(n^2) regressions, not wall-clock noise."""
     module, config = _fresh_module()

@@ -7,8 +7,9 @@ optimizing and refinement-checking both wastes a full checker run.
 arguments become ``%c0, %c1, ...`` in signature order, blocks ``b0,
 b1, ...`` in layout order, instruction results ``%t0, %t1, ...`` in
 program order — and :func:`canonical_hash` is the SHA-256 of that text.
-Renaming happens on a freshly parsed copy, so the input function is
-never mutated.
+Renaming happens on a private copy (a structural clone of a
+:class:`Function`, a parse of text), so the input function is never
+mutated.
 
 The guarantee the campaign engine relies on (and the property tests
 enforce): the printed IR round-trips through the parser, and canonical
@@ -20,30 +21,32 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Optional, Union
 
-from ..ir import Function, ParseError, parse_function, parse_module, print_function, print_module
+from ..ir import Function, parse_function, print_function
+from ..ir.instructions import CallInst
+from ..opt.resilience.snapshot import clone_function, discard_snapshot
 
-
-def _fresh_copy(fn: Union[Function, str]) -> Function:
-    """Parse a private copy of ``fn`` that is safe to mutate."""
-    if isinstance(fn, str):
-        return parse_function(fn)
-    try:
-        return parse_function(print_function(fn))
-    except (ParseError, ValueError):
-        # The function references module-level entities (declarations,
-        # globals); reparse the whole module and pick the function out.
-        if fn.module is None:
-            raise
-        copy = parse_module(print_module(fn.module)).get_function(fn.name)
-        if copy is None:  # pragma: no cover - printer/parser disagree
-            raise
-        return copy
+# Not used here, but the end-to-end benchmark's tracer
+# (benchmarks/e2e/tracing.py) wraps these names in this module.
+from ..ir import parse_module, print_module  # noqa: F401
 
 
 def canonical_function(fn: Union[Function, str]) -> Function:
-    """A freshly parsed copy of ``fn`` renamed into the canonical
-    namespace (``%cN`` args, ``bN`` blocks, ``%tN`` results)."""
-    copy = _fresh_copy(fn)
+    """A private copy of ``fn`` renamed into the canonical namespace
+    (``%cN`` args, ``bN`` blocks, ``%tN`` results).
+
+    Text is parsed; a :class:`Function` is cloned structurally, sharing
+    its constants, globals and callees, so the caller should hand the
+    copy to :func:`~repro.opt.resilience.snapshot.discard_snapshot` when
+    done with it."""
+    if isinstance(fn, str):
+        copy = parse_function(fn)
+    else:
+        copy = clone_function(fn)
+        # a recursive call names the function itself, which parsing
+        # would have resolved to the copy
+        for inst in copy.instructions():
+            if isinstance(inst, CallInst) and inst.callee is fn:
+                inst.callee = copy
     copy.name = "f"
     for i, arg in enumerate(copy.args):
         arg.name = f"c{i}"
@@ -59,7 +62,10 @@ def canonical_function(fn: Union[Function, str]) -> Function:
 
 def canonical_text(fn: Union[Function, str]) -> str:
     """The function's text with canonical value/block/function names."""
-    return print_function(canonical_function(fn))
+    copy = canonical_function(fn)
+    text = print_function(copy)
+    discard_snapshot(copy)
+    return text
 
 
 def canonical_hash(fn: Union[Function, str]) -> str:

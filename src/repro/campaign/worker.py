@@ -64,11 +64,19 @@ FUEL_REASON = "fuel budget"
 #: without reporting), exercising the executor's lost-worker accounting.
 CRASH_ENV = "REPRO_CAMPAIGN_CRASH_SHARDS"
 
+#: Test hook: comma-separated shard ids that should hang (never report),
+#: exercising the executor's shard-timeout accounting.
+HANG_ENV = "REPRO_CAMPAIGN_HANG_SHARDS"
+
 
 def _maybe_crash(shard_id: int) -> None:
     crash_ids = os.environ.get(CRASH_ENV, "")
     if crash_ids and str(shard_id) in crash_ids.split(","):
         os._exit(17)  # simulate a hard worker death (no cleanup, no report)
+    hang_ids = os.environ.get(HANG_ENV, "")
+    if hang_ids and str(shard_id) in hang_ids.split(","):
+        while True:  # simulate a wedged worker: only a kill ends it
+            time.sleep(60)
 
 
 def _shard_metrics(stats_before: Dict[str, Dict[str, int]]) -> dict:

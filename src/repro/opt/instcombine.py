@@ -94,6 +94,8 @@ class InstCombine(FunctionPass):
                 for inst in list(block.instructions):
                     if inst.parent is not block:
                         continue  # already removed this round
+                    if self.canonicalize(inst):
+                        changed = True
                     new_value = self.visit(inst)
                     if new_value is None:
                         simpler = simplify_instruction(inst, self.config)
@@ -116,6 +118,25 @@ class InstCombine(FunctionPass):
                         changed = progress = True
         return changed
 
+    # -- canonical operand order ----------------------------------------------
+    def canonicalize(self, inst: Instruction) -> bool:
+        """Move a constant to the RHS of a commutative binary op or an
+        icmp (swapping the predicate), in place; True when it moved."""
+        if isinstance(inst, BinaryInst):
+            movable = inst.is_commutative and isinstance(inst.type, IntType)
+        else:
+            movable = (isinstance(inst, IcmpInst)
+                       and isinstance(inst.lhs.type, IntType))
+        if not movable or not isinstance(inst.lhs, ConstantInt) \
+                or isinstance(inst.rhs, ConstantInt):
+            return False
+        lhs = inst.lhs
+        inst.set_operand(0, inst.rhs)
+        inst.set_operand(1, lhs)
+        if isinstance(inst, IcmpInst):
+            inst.pred = inst.pred.swapped()
+        return True
+
     # -- dispatch ------------------------------------------------------------
     def visit(self, inst: Instruction) -> Optional[Value]:
         if isinstance(inst, BinaryInst):
@@ -131,13 +152,6 @@ class InstCombine(FunctionPass):
         if not isinstance(inst.type, IntType):
             return None
         op = inst.opcode
-
-        # Canonicalize constants to the RHS of commutative operations.
-        if inst.is_commutative and isinstance(inst.lhs, ConstantInt) \
-                and not isinstance(inst.rhs, ConstantInt):
-            lhs = inst.lhs
-            inst.set_operand(0, inst.rhs)
-            inst.set_operand(1, lhs)
 
         if op is Opcode.MUL:
             return self._visit_mul(inst)
@@ -374,15 +388,6 @@ class InstCombine(FunctionPass):
             return None
         ty: IntType = inst.lhs.type  # type: ignore[assignment]
         rc = _const(inst.rhs)
-
-        # Canonicalize constant to the RHS.
-        if isinstance(inst.lhs, ConstantInt) and rc is None:
-            lhs = inst.lhs
-            inst.set_operand(0, inst.rhs)
-            inst.set_operand(1, lhs)
-            inst.pred = inst.pred.swapped()
-            rc = _const(inst.rhs)
-
         if rc is None:
             return None
 

@@ -3,9 +3,14 @@
 LLVM survives buggy passes with CrashRecoveryContext, ``-verify-each``
 and ``-opt-bisect-limit``; this module is our analog.
 :class:`GuardedPassManager` runs the same pipelines as
-:class:`~repro.opt.pass_manager.PassManager` but snapshots every
-function before every pass application and treats a raised exception
-*or* a ``verify-each`` rejection as a recoverable event:
+:class:`~repro.opt.pass_manager.PassManager` but keeps a snapshot of
+the function it is running and treats a raised exception *or* a
+``verify-each`` rejection as a recoverable event.  The snapshot is kept
+across unchanged applications and taken again after a change or
+rollback: a pass that reports no change must leave the function
+untouched (tests/opt/test_change_honesty.py checks every o2 pass), so
+one clone per change replaces one clone per application and the
+snapshot is still exactly the pre-application state.  On a failure:
 
 * the function rolls back to the pre-pass snapshot,
 * a ``resilience`` remark and stats (``resilience/num-recoveries`` plus
@@ -149,6 +154,9 @@ class GuardedPassManager(PassManager):
         self.failures: List[PassFailure] = []
         self.quarantined: Set[str] = set()
         self._failure_counts: Dict[str, int] = {}
+        #: the pre-application state of the function being run; kept
+        #: across applications that report no change.
+        self._snapshot: Optional[Function] = None
 
     # -- queries -----------------------------------------------------------
     @property
@@ -162,13 +170,18 @@ class GuardedPassManager(PassManager):
     # -- execution ---------------------------------------------------------
     def run_on_function(self, fn: Function) -> bool:
         changed_any = False
-        for _ in range(self.max_iterations):
-            changed = False
-            for p in self.passes:
-                changed |= self._run_guarded(p, fn)
-            changed_any |= changed
-            if not changed:
-                break
+        try:
+            for _ in range(self.max_iterations):
+                changed = False
+                for p in self.passes:
+                    changed |= self._run_guarded(p, fn)
+                changed_any |= changed
+                if not changed:
+                    break
+        finally:
+            if self._snapshot is not None:
+                discard_snapshot(self._snapshot)
+                self._snapshot = None
         return changed_any
 
     def _run_guarded(self, p: FunctionPass, fn: Function) -> bool:
@@ -181,20 +194,26 @@ class GuardedPassManager(PassManager):
         if p.name in self.quarantined:
             return False
 
-        snapshot = clone_function(fn)
+        # An application that reports no change leaves the function as
+        # it found it, so the snapshot stays exact until one does.
+        if self._snapshot is None:
+            self._snapshot = clone_function(fn)
         with span(p.name, cat="pass", function=fn.name) as sp:
             try:
                 with self.timing.measure(p.name, fn.name) as m:
                     m.changed = p.run_on_function(fn)
                 if self.verify_each:
                     verify_function(fn, forbid_undef=self.forbid_undef)
-                discard_snapshot(snapshot)
-                sp.set(changed=m.changed)
-                return m.changed
             except Exception as e:
                 sp.set(failed=True)
+                snapshot, self._snapshot = self._snapshot, None
                 self._handle_failure(p, fn, snapshot, e, index)
                 return False
+            sp.set(changed=m.changed)
+            if m.changed:
+                discard_snapshot(self._snapshot)
+                self._snapshot = None
+            return m.changed
 
     # -- failure handling --------------------------------------------------
     def _handle_failure(self, p: FunctionPass, fn: Function,

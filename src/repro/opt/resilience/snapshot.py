@@ -1,7 +1,9 @@
 """Function snapshots: detached deep clones for rollback.
 
-The guarded pass manager snapshots each function *before* every pass
-application.  A snapshot is a structural deep copy of the function body
+The guarded pass manager snapshots a function before the first pass
+application of a run.  The snapshot is kept across unchanged
+applications and taken again after a change or rollback, so it always
+holds the state just before the current application.  A snapshot is a structural deep copy of the function body
 (blocks and instructions cloned, external references — arguments,
 constants, callees, globals — shared), detached from any module, so
 taking one never mutates the function or its module.
@@ -10,10 +12,10 @@ On a pass failure the snapshot is transplanted back
 (:func:`restore_function`), which restores the function byte-for-byte
 (same printer output) while keeping the *identity* of the
 :class:`~repro.ir.function.Function` object — callers and the module
-symbol table keep working.  On success the snapshot is discarded
-(:func:`discard_snapshot`), unlinking its operand uses so the use lists
-of shared values (arguments, constants) do not accumulate stale entries
-across thousands of pass applications.
+symbol table keep working.  After a change, and at the end of the run,
+the snapshot is discarded (:func:`discard_snapshot`), unlinking its
+operand uses so the use lists of shared values (arguments, constants)
+do not accumulate stale entries across thousands of pass applications.
 """
 
 from __future__ import annotations

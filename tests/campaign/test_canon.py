@@ -4,7 +4,7 @@ import pytest
 
 from repro.campaign import DedupCache, canonical_hash, canonical_text
 from repro.fuzz import enumerate_functions
-from repro.ir import parse_function, print_function
+from repro.ir import parse_function, parse_module, print_function, print_module
 
 BASE = """
 define i2 @f(i2 %a, i2 %b) {
@@ -103,3 +103,72 @@ class TestDedupCache:
         assert "x" in cache
         assert len(cache) == 1
         assert cache.as_dict() == {"x": "verified"}
+
+
+MODULE_LEVEL = [
+    # a global: the function text alone does not parse
+    """
+@g = global i2 1
+
+define i2 @f(i2 %a) {
+entry:
+  %v = load i2, i2* @g
+  %r = add i2 %v, %a
+  store i2 %r, i2* @g
+  ret i2 %r
+}
+""",
+    # a call to a declaration
+    """
+declare i2 @ext(i2)
+
+define i2 @f(i2 %a) {
+entry:
+  %c = call i2 @ext(i2 %a)
+  %r = xor i2 %c, %a
+  ret i2 %r
+}
+""",
+    # a recursive call names the function itself, which is renamed
+    """
+define i2 @rec(i2 %a, i1 %c) {
+entry:
+  br i1 %c, label %call, label %done
+call:
+  %r = call i2 @rec(i2 %a, i1 false)
+  ret i2 %r
+done:
+  ret i2 %a
+}
+""",
+]
+
+MODULE_LEVEL_IDS = ["global", "declaration", "recursive"]
+
+
+class TestModuleLevelReferences:
+    """A :class:`Function` is hashed from a clone that shares its
+    module's globals and callees; the text path parses the module."""
+
+    @pytest.mark.parametrize("text", MODULE_LEVEL, ids=MODULE_LEVEL_IDS)
+    def test_object_and_module_text_hash_alike(self, text):
+        module = parse_module(text)
+        fn = module.definitions()[-1]
+        assert canonical_hash(fn) == canonical_hash(print_module(module))
+        assert canonical_text(fn) == canonical_text(text)
+
+    @pytest.mark.parametrize("text", MODULE_LEVEL, ids=MODULE_LEVEL_IDS)
+    def test_hashing_leaves_no_users_behind(self, text):
+        module = parse_module(text)
+        fn = module.definitions()[-1]
+        before = print_module(module)
+        shared = list(fn.args) + list(module.globals.values())
+        uses = [len(v.uses) for v in shared]
+        canonical_hash(fn)
+        assert [len(v.uses) for v in shared] == uses
+        assert print_module(module) == before
+
+    def test_recursive_call_is_renamed(self):
+        assert "call i2 @f(" in canonical_text(MODULE_LEVEL[2])
+        fn = parse_module(MODULE_LEVEL[2]).get_function("rec")
+        assert "call i2 @f(" in canonical_text(fn)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, ShardExecutor, run_campaign
 from repro.campaign.sharding import plan_shards
+from repro.campaign.worker import HANG_ENV
 
 SPEC = CampaignSpec(mode="random", count=12, num_instructions=1,
                     pipeline="quick", shard_size=4, fuel=200,
@@ -98,11 +99,12 @@ class TestCrashAccounting:
         assert records[0]["status"] == records[2]["status"] == "done"
 
     def test_shard_timeout_becomes_errored_record(self, monkeypatch):
-        slow = SPEC.with_(count=4, fuel=10_000, max_inputs=20_000,
-                          num_instructions=3)
-        executor = ShardExecutor(workers=1, shard_timeout=0.01)
+        # the shard hangs, so it overruns any timeout however warm the
+        # parent's imports and caches are
+        monkeypatch.setenv(HANG_ENV, "0")
+        executor = ShardExecutor(workers=1, shard_timeout=0.05)
         try:
-            executor.submit(slow, plan_shards(slow)[0])
+            executor.submit(SPEC, plan_shards(SPEC)[0])
             records = drain_records(executor)
         finally:
             executor.shutdown(kill=True)

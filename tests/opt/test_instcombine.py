@@ -330,3 +330,40 @@ entry:
   ret i1 %n
 }""", FIXED)
         assert r.ok
+
+
+class TestCanonicalOperandOrder:
+    """Moving a constant to the RHS edits the IR in place, so the pass
+    must report it: the guarded pass manager reuses its snapshot across
+    applications that report no change."""
+
+    @pytest.mark.parametrize("config, body, expected", [
+        (FIXED, "%r = icmp uge i2 1, %a\n  ret i1 %r",
+         "%r = icmp ule i2 %a, 1"),
+        (LEGACY, "%r = icmp uge i2 1, %a\n  ret i1 %r",
+         "%r = icmp ule i2 %a, 1"),
+        # legacy folds xor with undef away; the fixed config keeps it
+        (FIXED, "%r = xor i2 1, undef\n  ret i2 %r",
+         "%r = xor i2 undef, 1"),
+        (FIXED, "%r = add i2 1, %a\n  ret i2 %r", "%r = add i2 %a, 1"),
+        (LEGACY, "%r = add i2 1, %a\n  ret i2 %r", "%r = add i2 %a, 1"),
+    ], ids=["icmp-fixed", "icmp-legacy", "xor-undef-fixed", "add-fixed",
+            "add-legacy"])
+    def test_moving_a_constant_right_is_a_change(self, config, body,
+                                                 expected):
+        ret = "i1" if "icmp" in body else "i2"
+        fn = parse_function(
+            f"define {ret} @f(i2 %a) {{\nentry:\n  {body}\n}}")
+        before = print_function(fn)
+        assert InstCombine(config).run_on_function(fn)
+        after = print_function(fn)
+        assert after != before
+        assert expected in after
+
+    def test_already_canonical_is_no_change(self):
+        fn = parse_function(
+            "define i1 @f(i2 %a) {\nentry:\n"
+            "  %r = icmp ule i2 %a, 1\n  ret i1 %r\n}")
+        before = print_function(fn)
+        assert not InstCombine(FIXED).run_on_function(fn)
+        assert print_function(fn) == before

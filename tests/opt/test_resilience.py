@@ -11,13 +11,16 @@ from repro.ir import (
     verify_module,
 )
 from repro.ir.verifier import VerificationError
+from repro.fuzz import enumerate_functions, random_functions
 from repro.opt import (
     ChaosEngine,
     ChaosFault,
     GuardedPassError,
     GuardedPassManager,
     OptConfig,
+    baseline_config,
     guarded_pipeline,
+    o2_pipeline,
     prototype_config,
 )
 from repro.opt.pass_manager import FunctionPass
@@ -31,8 +34,10 @@ from repro.opt.resilience import (
     make_bundle_payload,
     replay_bundle,
     restore_function,
+    wrap_with_chaos,
     write_bundle,
 )
+from repro.opt.resilience import guard as guard_module
 from repro.opt.resilience.snapshot import print_standalone
 
 LOOPY = """
@@ -104,6 +109,23 @@ class NopPass(FunctionPass):
 
     def run_on_function(self, fn):
         return False
+
+
+class RecordingPass(FunctionPass):
+    """Runs a real pass, logging the IR it was handed and whether it
+    reported a change."""
+
+    def __init__(self, inner, log):
+        super().__init__(inner.config)
+        self.inner = inner
+        self.name = inner.name
+        self.log = log
+
+    def run_on_function(self, fn):
+        before = print_function(fn)
+        changed = self.inner.run_on_function(fn)
+        self.log.append((before, changed))
+        return changed
 
 
 class SpinnerPass(FunctionPass):
@@ -395,3 +417,132 @@ def test_resilience_report_shape():
     assert report["recoveries"] == len(pm.failures)
     assert report["applications"] == pm.pass_counter
     assert all("@" in entry for entry in report["failed_passes"])
+
+
+# -- snapshot reuse across unchanged applications ---------------------------
+SMALL = """
+define i2 @f(i2 %a, i2 %b) {
+entry:
+  %x = add i2 1, %a
+  %y = mul i2 %x, 2
+  %z = icmp uge i2 1, %y
+  %r = select i1 %z, i2 %y, i2 %b
+  ret i2 %r
+}
+"""
+
+
+def _recorded_o2(text, config, fail_at=(), crash_dir=None):
+    """Run guarded o2 over ``text`` with every pass recorded and corrupt
+    faults at ``fail_at``; returns (function, manager, log)."""
+    log = []
+    base = o2_pipeline(config)
+    passes = [RecordingPass(p, log) for p in base.passes]
+    passes = wrap_with_chaos(
+        passes, ChaosEngine(seed=1, mode="corrupt", fail_at=fail_at))
+    pm = GuardedPassManager(passes, max_iterations=base.max_iterations,
+                            verify_each=True, policy="recover",
+                            crash_dir=crash_dir)
+    fn = parse_function(text)
+    pm.run_on_function(fn)
+    return fn, pm, log
+
+
+@pytest.mark.parametrize("after_change", [False, True],
+                         ids=["after-unchanged", "after-changed"])
+@pytest.mark.parametrize("text", [SMALL, LOOPY], ids=["small", "loopy"])
+def test_rollback_restores_the_state_before_the_failing_application(
+        tmp_path, text, after_change):
+    _, _, clean = _recorded_o2(text, prototype_config())
+    # a failing application k (1-based) whose predecessor k-1 reported
+    # the wanted change flag, with an application after it
+    k = next(k for k in range(2, len(clean))
+             if clean[k - 2][1] is after_change)
+    fn, pm, log = _recorded_o2(text, prototype_config(), fail_at=(k,),
+                               crash_dir=str(tmp_path))
+    assert log[k - 2][1] is after_change
+    [failure] = pm.failures
+    assert failure.application == k and failure.kind == "verify"
+    before_failure = log[k - 1][0]
+    assert before_failure == clean[k - 1][0]
+    # the application after the rollback was handed the restored IR
+    assert log[k][0] == before_failure
+    bundle = load_bundle(failure.bundle_path)
+    assert bundle["before_ir"] == before_failure + "\n"
+    verify_function(fn)
+
+
+def test_rollback_after_rollback_takes_a_fresh_snapshot(tmp_path):
+    fn, pm, log = _recorded_o2(LOOPY, prototype_config(), fail_at=(3, 4),
+                               crash_dir=str(tmp_path))
+    assert [f.application for f in pm.failures] == [3, 4]
+    for failure in pm.failures:
+        bundle = load_bundle(failure.bundle_path)
+        assert bundle["before_ir"] == log[failure.application - 1][0] + "\n"
+    assert log[4][0] == log[3][0] == log[2][0]
+    verify_function(fn)
+
+
+def _corpus():
+    yield parse_function(LOOPY)
+    yield parse_function(SMALL)
+    yield from enumerate_functions(1)
+    yield from random_functions(96, num_instructions=3, seed=1000)
+
+
+@pytest.mark.parametrize("config", [prototype_config(), baseline_config()],
+                         ids=["fixed", "legacy"])
+def test_clean_run_clones_once_plus_once_per_change(monkeypatch, config):
+    clones = []
+    real_clone = guard_module.clone_function
+
+    def counting_clone(fn):
+        clones.append(fn)
+        return real_clone(fn)
+
+    monkeypatch.setattr(guard_module, "clone_function", counting_clone)
+    base = o2_pipeline(config)
+    for fn in _corpus():
+        log = []
+        pm = GuardedPassManager(
+            [RecordingPass(p, log) for p in base.passes],
+            max_iterations=base.max_iterations)
+        del clones[:]
+        pm.run_on_function(fn)
+        changes = sum(changed for _, changed in log)
+        assert len(clones) <= changes + 1, print_function(fn)
+        assert pm._snapshot is None
+
+
+GLOBALS = """
+@g = global i8 3
+
+declare void @effect(i8)
+
+define i8 @main(i8 %x, i8 %y) {
+entry:
+  %v = load i8, i8* @g
+  %a = add i8 1, %x
+  %b = mul i8 %a, 2
+  %c = add i8 %b, %v
+  call void @effect(i8 %c)
+  store i8 %y, i8* @g
+  %d = add i8 %c, 0
+  ret i8 %d
+}
+"""
+
+
+@pytest.mark.parametrize("text", [GLOBALS, LOOPY, CALLS],
+                         ids=["globals", "loopy", "calls"])
+def test_clean_run_leaves_no_snapshot_users(text):
+    module = parse_module(text)
+    pm = guarded_pipeline("o2", prototype_config(), verify_each=True)
+    pm.run(module)
+    assert not pm.failures
+    live = {id(i) for f in module.definitions() for i in f.instructions()}
+    shared = [a for f in module.definitions() for a in f.args]
+    shared += list(module.globals.values())
+    for value in shared:
+        for use in value.uses:
+            assert id(use.user) in live, (value, use.user)
