@@ -32,6 +32,7 @@ import json
 import sys
 import time
 
+from provenance import stamp
 from repro.campaign.lint_attack import AttackRunner, AttackSpec
 from repro.lint import RULES
 from repro.mutate import VERDICTS, mutate_function
@@ -91,7 +92,7 @@ def main(argv=None) -> int:
     spec = _spec(args.quick)
     report = {
         "experiment": "E16",
-        "quick": args.quick,
+        **stamp(args.quick),
         "spec": spec.as_dict(),
         "mutators": bench_mutators(spec),
         "attack": bench_attack(spec),

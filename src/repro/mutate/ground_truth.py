@@ -65,7 +65,7 @@ from ..lint.rules import (
 )
 from ..refine.exhaustive import input_candidates
 from ..semantics.domains import PBIT, UBIT
-from ..semantics.interp import enumerate_behaviors
+from ..semantics.interp import PlanCache, enumerate_behaviors
 from .mutators import Mutation
 
 _OBS_PREFIX = "__atk_obs_"
@@ -274,13 +274,15 @@ def _enumerate_observations(fn: Function, semantics,
         return None, 0, f"input budget: {total} > {opts.max_inputs}"
     tallies: Dict[str, _ObsTally] = {}
     events = 0
+    # compile the mutant once for every input and oracle path
+    plans = PlanCache(semantics)
     for combo in itertools.product(*pools) if pools else [()]:
         defined = all(isinstance(v, int) for v in combo)
         try:
             behaviors = enumerate_behaviors(
                 fn, list(combo), config=semantics,
                 max_paths=opts.max_paths, max_choices=opts.max_choices,
-                fuel=opts.fuel)
+                fuel=opts.fuel, plans=plans)
         except Exception as exc:
             return None, events, f"enumeration failed: {exc}"
         for behavior in behaviors:
@@ -318,16 +320,18 @@ def _flags_dead(mutation: Mutation, site: _Site, semantics,
         total *= len(pool)
     if total > opts.max_inputs:
         return None, f"input budget: {total} > {opts.max_inputs}"
+    base_plans = PlanCache(semantics)
+    bare_plans = PlanCache(semantics)
     for combo in itertools.product(*pools) if pools else [()]:
         try:
             base = enumerate_behaviors(
                 base_fn, list(combo), config=semantics,
                 max_paths=opts.max_paths, max_choices=opts.max_choices,
-                fuel=opts.fuel)
+                fuel=opts.fuel, plans=base_plans)
             bare = enumerate_behaviors(
                 twin_fn, list(combo), config=semantics,
                 max_paths=opts.max_paths, max_choices=opts.max_choices,
-                fuel=opts.fuel)
+                fuel=opts.fuel, plans=bare_plans)
         except Exception as exc:
             return None, f"enumeration failed: {exc}"
         if base != bare:

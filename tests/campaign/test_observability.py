@@ -92,7 +92,9 @@ class TestSpanTracing:
         assert verdicts.count("verified") == summary.verified
 
     def test_diag_top_renders_from_the_trace(self, tmp_path):
-        spec = _traced_spec(tmp_path)
+        # the per-input phase tier is the scalar engine's; the vector
+        # engine decides these legacy checks without it
+        spec = _traced_spec(tmp_path).with_(engine="scalar")
         run_campaign(spec, out_dir=str(tmp_path), workers=2)
         trace = merge_trace(str(tmp_path / "spans"))
         profile = build_profile(trace)
