@@ -81,6 +81,8 @@ STAT_CATALOG: Set[Tuple[str, str]] = {
     ("lint-attack", "num-oracle-events"),
     ("lint-attack", "num-disagreements"),
     ("lint-attack", "num-unclassified"),
+    ("lint-attack", "num-vector-mutants"),
+    ("lint-attack", "num-vector-fallbacks"),
     # fuzzers
     ("optfuzz", "num-functions-enumerated"),
     ("optfuzz", "num-random-functions"),

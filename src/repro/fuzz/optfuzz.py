@@ -17,9 +17,10 @@ corpora plus a seeded random sample of the 3-instruction space —
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..diag import Statistic
 from ..ir import (
@@ -60,18 +61,15 @@ NUM_RANDOM = Statistic(
     "Functions produced by seeded random sampling")
 
 
-class _Spec:
-    """Declarative description of one instruction to build."""
+class _Spec(NamedTuple):
+    """Declarative description of one instruction to build (immutable:
+    the enumeration spaces holding these are cached and shared)."""
 
-    __slots__ = ("kind", "opcode", "pred", "operands", "flags")
-
-    def __init__(self, kind, opcode=None, pred=None, operands=(),
-                 flags=()):
-        self.kind = kind          # "bin" | "icmp" | "select"
-        self.opcode = opcode
-        self.pred = pred
-        self.operands = operands  # indices into the value pool
-        self.flags = flags        # subset of ("nsw", "nuw")
+    kind: str                     # "bin" | "icmp" | "select"
+    opcode: Optional[Opcode] = None
+    pred: Optional[IcmpPred] = None
+    operands: Tuple[int, ...] = ()  # indices into the value pool
+    flags: Tuple[str, ...] = ()     # subset of ("nsw", "nuw")
 
 
 def _operand_pool_size(num_args: int, width: int, prior: int,
@@ -125,10 +123,15 @@ def _materialize(specs: Sequence[_Spec], width: int, num_args: int,
     return fn
 
 
+@functools.lru_cache(maxsize=32)
 def _enum_spaces(num_instructions: int, width: int, num_args: int,
-                 opcodes: Sequence[Opcode], include_deferred: bool,
-                 include_flags: bool) -> List[List[_Spec]]:
-    """The per-position spec spaces whose product is the corpus."""
+                 opcodes: Tuple[Opcode, ...], include_deferred: bool,
+                 include_flags: bool) -> Tuple[Tuple[_Spec, ...], ...]:
+    """The per-position spec spaces whose product is the corpus.
+
+    Built once per distinct argument tuple (a lint-attack shard decodes
+    one index per seed from the same spaces); tuples of immutable specs,
+    so no caller can change the cache."""
 
     def spec_space(position: int) -> Iterator[_Spec]:
         pool = _operand_pool_size(num_args, width, position,
@@ -143,7 +146,7 @@ def _enum_spaces(num_instructions: int, width: int, num_args: int,
                     yield _Spec("bin", opcode=opcode, operands=(a, b),
                                 flags=flags)
 
-    return [list(spec_space(i)) for i in range(num_instructions)]
+    return tuple(tuple(spec_space(i)) for i in range(num_instructions))
 
 
 def _decode_index(spaces: Sequence[Sequence[_Spec]],
@@ -180,7 +183,7 @@ def enumerate_functions(num_instructions: int, width: int = 2,
     functions a full enumeration would yield at positions ``[a, b)``.
     Campaign shards rely on this to partition the space.  ``limit``
     additionally caps the number of functions yielded."""
-    spaces = _enum_spaces(num_instructions, width, num_args, opcodes,
+    spaces = _enum_spaces(num_instructions, width, num_args, tuple(opcodes),
                           include_deferred, include_flags)
     total = 1
     for space in spaces:
@@ -202,7 +205,7 @@ def function_at_index(index: int, num_instructions: int, width: int = 2,
                       include_flags: bool = False) -> Function:
     """Random access into the enumeration space: the function a full
     ``enumerate_functions`` run would yield at position ``index``."""
-    spaces = _enum_spaces(num_instructions, width, num_args, opcodes,
+    spaces = _enum_spaces(num_instructions, width, num_args, tuple(opcodes),
                           include_deferred, include_flags)
     total = 1
     for space in spaces:
@@ -231,7 +234,7 @@ def enumeration_size(num_instructions: int, width: int = 2,
                      include_flags: bool = False) -> int:
     """Exact size of the :func:`enumerate_functions` space — unlike
     :func:`count_functions` this accounts for ``include_flags``."""
-    spaces = _enum_spaces(num_instructions, width, num_args, opcodes,
+    spaces = _enum_spaces(num_instructions, width, num_args, tuple(opcodes),
                           include_deferred, include_flags)
     total = 1
     for space in spaces:

@@ -31,16 +31,30 @@ claim is a false positive, silence is always a true negative.
 ``dead-on-poison-flag`` uses a differential oracle instead of
 observation calls: the flag is dead iff dropping it leaves the behavior
 set of every input unchanged.
+
+Each mutant is parsed once.  Lint reads that function; the
+instrumented copy and every dead-flag twin are clones attached to the
+same module (so the copies keep the mutant's globals, and the
+observation callees are declared there).  Ground truth runs on the
+vector engine when it can: each function is lowered once with
+``record_calls=True`` and run over the whole input space in one
+lane-parallel pass (:mod:`repro.semantics.vector`), whose event lanes
+are the observation calls.  Any :class:`VectorIneligible` — a loop, an
+unsupported op, an input with more oracle paths than ``max_paths``, too
+many choice points, the lane cap, no numpy — sends the whole mutant to
+the scalar interpreter instead, which yields the same observations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.dominators import DominatorTree
 from ..analysis.loops import LoopInfo
+from ..diag import Statistic
 from ..ir.function import Function
 from ..ir.instructions import (
     BinaryInst,
@@ -63,10 +77,25 @@ from ..lint.rules import (
     hoist_dispatch_sites,
     iter_sinks,
 )
+from ..opt.resilience.snapshot import clone_function
 from ..refine.exhaustive import input_candidates
+from ..refine.vector import _lane_arrays
 from ..semantics.domains import PBIT, UBIT
 from ..semantics.interp import PlanCache, enumerate_behaviors
+from ..semantics.vector import VectorIneligible, VectorPlan
 from .mutators import Mutation
+
+try:  # pragma: no cover - exercised via the no-numpy CI leg
+    import numpy as np
+except ImportError:  # pragma: no cover
+    np = None
+
+NUM_VECTOR_MUTANTS = Statistic(
+    "lint-attack", "num-vector-mutants",
+    "Mutants whose ground truth the vector engine decided")
+NUM_VECTOR_FALLBACKS = Statistic(
+    "lint-attack", "num-vector-fallbacks",
+    "Mutants whose ground truth fell back to the scalar interpreter")
 
 _OBS_PREFIX = "__atk_obs_"
 
@@ -150,11 +179,9 @@ class _Site:
 
 
 class _ObsTally:
-    __slots__ = ("executions", "hazard_any", "hazard_def", "defined_seen",
-                 "example")
+    __slots__ = ("hazard_any", "hazard_def", "defined_seen", "example")
 
     def __init__(self):
-        self.executions = 0
         self.hazard_any = False
         self.hazard_def = False
         self.defined_seen = False
@@ -180,8 +207,6 @@ def attacked_rules(mutation: Mutation, rules=None) -> List[str]:
 def _collect_sites(fn: Function, rule_ids: List[str]) -> List[_Site]:
     """Every site each selected rule could speak about, with keys
     computed *before* any instrumentation shifts instruction indices."""
-    dt = DominatorTree(fn)
-    loops = LoopInfo(fn, dt)
     block_of = {id(b): i for i, b in enumerate(fn.blocks)}
     index_of = {}
     for b in fn.blocks:
@@ -208,6 +233,7 @@ def _collect_sites(fn: Function, rule_ids: List[str]) -> List[_Site]:
                 elif isinstance(term, SwitchInst):
                     sites.append(site(rule_id, term, [term.value]))
         elif rule_id == "missing-freeze-on-hoist":
+            loops = LoopInfo(fn, DominatorTree(fn))
             for term in hoist_dispatch_sites(fn, loops):
                 sites.append(site(rule_id, term, [term.cond]))
         elif rule_id == "ub-sink-reaches-poison":
@@ -258,25 +284,29 @@ def _instrument_sites(fn: Function, sites: List[_Site]) -> Dict[str, int]:
     return obs_to_watch
 
 
-def _enumerate_observations(fn: Function, semantics,
-                            opts: ClassifyOptions
-                            ) -> Tuple[Optional[Dict[str, _ObsTally]], int, str]:
+def _combo_text(pools: List[list], lane: int) -> str:
+    """Input tuple ``lane`` of the ``itertools.product`` enumeration of
+    ``pools``, printed as the oracle's notes print it."""
+    values = []
+    for pool in reversed(pools):
+        lane, digit = divmod(lane, len(pool))
+        values.append(pool[digit])
+    return ", ".join(str(v) for v in reversed(values))
+
+
+def _scalar_observations(fn: Function, pools: List[list], semantics,
+                         opts: ClassifyOptions
+                         ) -> Tuple[Optional[Dict[str, _ObsTally]], int, str]:
     """Run the instrumented mutant over every input combination.
 
     Returns (tallies, events, "") on success or (None, events, reason)
     when a budget was exceeded — the caller marks the sites
     unclassified rather than guessing."""
-    pools = [input_candidates(a.type, semantics) for a in fn.args]
-    total = 1
-    for pool in pools:
-        total *= len(pool)
-    if total > opts.max_inputs:
-        return None, 0, f"input budget: {total} > {opts.max_inputs}"
     tallies: Dict[str, _ObsTally] = {}
     events = 0
     # compile the mutant once for every input and oracle path
     plans = PlanCache(semantics)
-    for combo in itertools.product(*pools) if pools else [()]:
+    for combo in itertools.product(*pools):
         defined = all(isinstance(v, int) for v in combo)
         try:
             behaviors = enumerate_behaviors(
@@ -294,7 +324,6 @@ def _enumerate_observations(fn: Function, semantics,
                 tally = tallies.get(name)
                 if tally is None:
                     tally = tallies[name] = _ObsTally()
-                tally.executions += 1
                 if _is_poisoned(bits):
                     tally.hazard_any = True
                     if defined:
@@ -306,23 +335,15 @@ def _enumerate_observations(fn: Function, semantics,
     return tallies, events, ""
 
 
-def _flags_dead(mutation: Mutation, site: _Site, semantics,
-                opts: ClassifyOptions) -> Tuple[Optional[bool], str]:
-    """Differential oracle: is dropping this site's flags behavior-
-    preserving on every input?  (None, reason) when over budget."""
-    base_fn = _parsed(mutation)
-    twin_fn = _parsed(mutation)
-    twin = twin_fn.blocks[site.block_index].instructions[site.inst_index]
-    twin.drop_poison_flags()
-    pools = [input_candidates(a.type, semantics) for a in base_fn.args]
-    total = 1
-    for pool in pools:
-        total *= len(pool)
-    if total > opts.max_inputs:
-        return None, f"input budget: {total} > {opts.max_inputs}"
+def _scalar_flags_dead(base_fn: Function, twin_fn: Function,
+                       pools: List[list], semantics,
+                       opts: ClassifyOptions) -> Tuple[Optional[bool], str]:
+    """Differential oracle: is the twin (the mutant with one site's
+    flags dropped) behavior-preserving on every input?  (None, reason)
+    when over budget."""
     base_plans = PlanCache(semantics)
     bare_plans = PlanCache(semantics)
-    for combo in itertools.product(*pools) if pools else [()]:
+    for combo in itertools.product(*pools):
         try:
             base = enumerate_behaviors(
                 base_fn, list(combo), config=semantics,
@@ -337,6 +358,184 @@ def _flags_dead(mutation: Mutation, site: _Site, semantics,
         if base != bare:
             return False, ", ".join(str(v) for v in combo)
     return True, ""
+
+
+def _codes(val, pois, undef):
+    """One integer per lane: the value, -1 for poison, -2 for undef."""
+    code = np.where(pois, -1, val)
+    return code if undef is None else np.where(undef, -2, code)
+
+
+def _lower(fn: Function, semantics, opts: ClassifyOptions) -> VectorPlan:
+    return VectorPlan(fn, semantics, max_choices=opts.max_choices,
+                      fuel=opts.fuel, record_calls=True)
+
+
+def _vector_behaviors(plan: VectorPlan, lanes, total: int,
+                      opts: ClassifyOptions) -> Dict[tuple, object]:
+    """The distinct behaviors of every input from one plan run, by
+    shape: ``(is_ub, ((callee, arity), ...))`` -> the sorted unique rows
+    ``[input, return code, argument codes...]`` (codes as in
+    :func:`_codes`).  Per input, the rows are the scalar oracle's
+    behavior set: paths that end alike after the same calls with the
+    same arguments are one behavior."""
+    out = plan.run(lanes, total)
+    if len(out.idx) + len(out.ub) > opts.max_paths:
+        worst = int(out.paths.max())
+        if worst > opts.max_paths:
+            # the scalar oracle gives up on such an input
+            raise VectorIneligible(
+                "input-paths",
+                f"an input has {worst} oracle paths "
+                f"(max_paths={opts.max_paths})")
+    parts: Dict[tuple, list] = {}
+    for is_ub, start, stop, events in out.events:
+        n = stop - start
+        if is_ub:
+            cols = [out.ub[start:stop], np.zeros(n, dtype=np.int64)]
+        else:
+            undef = None if out.undef is None else out.undef[start:stop]
+            cols = [out.idx[start:stop],
+                    _codes(out.val[start:stop], out.pois[start:stop], undef)]
+        shape = []
+        for name, args in events:
+            shape.append((name, len(args)))
+            cols.extend(np.broadcast_to(_codes(*arg), (n,)) for arg in args)
+        parts.setdefault((is_ub, tuple(shape)), []).append(
+            np.column_stack(cols))
+    return {key: _unique_rows(np.concatenate(rows))
+            for key, rows in parts.items()}
+
+
+def _unique_rows(rows):
+    """The distinct rows, sorted (``np.unique(rows, axis=0)``, several
+    times faster on arrays this small)."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def _vector_observations(behaviors: Dict[tuple, object], defined,
+                         pools: List[list]
+                         ) -> Tuple[Dict[str, _ObsTally], int]:
+    """:func:`_scalar_observations`'s tallies from distinct behaviors:
+    one event per observation call of each distinct behavior of each
+    input, and the first input (in enumeration order) that observed
+    poison as the example."""
+    tallies: Dict[str, _ObsTally] = {}
+    first: Dict[str, int] = {}
+    events = 0
+    for (_is_ub, shape), rows in behaviors.items():
+        inputs = rows[:, 0]
+        col = 2
+        for name, arity in shape:
+            if name.startswith(_OBS_PREFIX):
+                events += len(rows)
+                tally = tallies.get(name)
+                if tally is None:
+                    tally = tallies[name] = _ObsTally()
+                poisoned = rows[:, col] < 0
+                hazards = np.count_nonzero(poisoned)
+                if hazards:
+                    tally.hazard_any = True
+                    if np.count_nonzero(poisoned & defined[inputs]):
+                        tally.hazard_def = True
+                    lane = int(inputs[poisoned].min())
+                    first[name] = min(first.get(name, lane), lane)
+                if hazards < len(rows):
+                    tally.defined_seen = True
+            col += arity
+    for name, lane in first.items():
+        tallies[name].example = _combo_text(pools, lane)
+    return tallies, events
+
+
+def _first_difference(base: Dict[tuple, object], twin: Dict[tuple, object]
+                      ) -> Optional[int]:
+    """The first input whose behavior sets differ, or None."""
+    if base.keys() == twin.keys() and all(
+            np.array_equal(rows, twin[key]) for key, rows in base.items()):
+        return None
+
+    def keyed(behaviors):
+        return {(key, *row) for key, rows in behaviors.items()
+                for row in rows.tolist()}
+
+    return min(row[1] for row in keyed(base) ^ keyed(twin))
+
+
+def _vector_ground_truth(obs_fn: Optional[Function], base_fn: Function,
+                         twins: List[Function], pools: List[list],
+                         semantics, opts: ClassifyOptions):
+    """What :func:`_scalar_observations` and :func:`_scalar_flags_dead`
+    return for one mutant, from one plan run per function; raises
+    :class:`VectorIneligible` wherever the scalar oracle might not
+    decide an input."""
+    obs_plan = _lower(obs_fn, semantics, opts) if obs_fn is not None else None
+    base_plan = _lower(base_fn, semantics, opts) if twins else None
+    twin_plans = [_lower(twin, semantics, opts) for twin in twins]
+    # lowering has checked that every argument is a narrow integer
+    total, lanes = _lane_arrays(tuple(a.type.bits for a in base_fn.args),
+                                True, semantics.has_undef)
+    tallies: Dict[str, _ObsTally] = {}
+    events = 0
+    if obs_plan is not None:
+        defined = np.ones(total, dtype=bool)
+        for _val, pois, undef in lanes:
+            defined &= ~(pois | undef)
+        tallies, events = _vector_observations(
+            _vector_behaviors(obs_plan, lanes, total, opts), defined, pools)
+    dead: List[Tuple[Optional[bool], str]] = []
+    if twins:
+        base = _vector_behaviors(base_plan, lanes, total, opts)
+        for plan in twin_plans:
+            lane = _first_difference(
+                base, _vector_behaviors(plan, lanes, total, opts))
+            dead.append((True, "") if lane is None
+                        else (False, _combo_text(pools, lane)))
+    return tallies, events, "", dead
+
+
+def _scalar_ground_truth(obs_fn: Optional[Function], base_fn: Function,
+                         twins: List[Function], pools: List[list],
+                         semantics, opts: ClassifyOptions):
+    """:func:`_vector_ground_truth` on the scalar interpreter, input by
+    input."""
+    tallies: Dict[str, _ObsTally] = {}
+    events = 0
+    failure = ""
+    if obs_fn is not None:
+        tallies_or_none, events, failure = _scalar_observations(
+            obs_fn, pools, semantics, opts)
+        tallies = tallies_or_none if tallies_or_none is not None else {}
+    dead = [_scalar_flags_dead(base_fn, twin, pools, semantics, opts)
+            for twin in twins]
+    return tallies, events, failure, dead
+
+
+def _ground_truth(obs_fn: Optional[Function], base_fn: Function,
+                  twins: List[Function], semantics, opts: ClassifyOptions):
+    """``(tallies, events, failure, dead)`` for one mutant: observation
+    tallies of the instrumented ``obs_fn`` (None when no site watches a
+    value), the oracle events behind them, the reason the tallies are
+    missing ("" when they are not), and ``(flags dead?, note)`` for each
+    twin of ``base_fn``.  The vector engine decides when it can, the
+    scalar interpreter otherwise."""
+    pools = [input_candidates(a.type, semantics) for a in base_fn.args]
+    total = math.prod(len(pool) for pool in pools)
+    if total > opts.max_inputs:
+        reason = f"input budget: {total} > {opts.max_inputs}"
+        return {}, 0, reason, [(None, reason)] * len(twins)
+    try:
+        result = _vector_ground_truth(obs_fn, base_fn, twins, pools,
+                                      semantics, opts)
+    except VectorIneligible:
+        NUM_VECTOR_FALLBACKS.inc()
+        return _scalar_ground_truth(obs_fn, base_fn, twins, pools,
+                                    semantics, opts)
+    NUM_VECTOR_MUTANTS.inc()
+    return result
 
 
 def _reduce_site(fn: Function, site: _Site) -> str:
@@ -390,21 +589,25 @@ def classify_mutation(mutation: Mutation, semantics,
                               rules=rule_ids):
         fired.setdefault((diag.rule_id, str(diag.loc)), diag)
 
-    # Sites + ground truth on an independent copy (instrumentation must
-    # never perturb what lint saw).
-    obs_fn = _parsed(mutation)
+    # Sites + ground truth on copies in the same module (instrumentation
+    # must never perturb what lint saw).
+    module = lint_fn.module
+    obs_fn = clone_function(lint_fn, module=module)
     sites = _collect_sites(obs_fn, rule_ids)
     if not sites:
         return [], 0
     _instrument_sites(obs_fn, sites)
-    need_obs = any(not s.diff for s in sites)
-    tallies: Dict[str, _ObsTally] = {}
-    events = 0
-    obs_failure = ""
-    if need_obs:
-        tallies_or_none, events, obs_failure = _enumerate_observations(
-            obs_fn, semantics, opts)
-        tallies = tallies_or_none if tallies_or_none is not None else {}
+    twins = []
+    for site in sites:
+        if site.diff:
+            twin = clone_function(lint_fn, module=module)
+            block = twin.blocks[site.block_index]
+            block.instructions[site.inst_index].drop_poison_flags()
+            twins.append(twin)
+    need_obs = len(twins) < len(sites)
+    tallies, events, obs_failure, dead = _ground_truth(
+        obs_fn if need_obs else None, lint_fn, twins, semantics, opts)
+    dead_flags = iter(dead)
 
     observations: List[Observation] = []
     for site in sites:
@@ -415,7 +618,7 @@ def classify_mutation(mutation: Mutation, semantics,
         reduced = ""
 
         if site.diff:
-            equal, note = _flags_dead(mutation, site, semantics, opts)
+            equal, note = next(dead_flags)
             if equal is None:
                 verdict, detail = "unclassified", note
             elif did_fire:

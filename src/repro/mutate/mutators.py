@@ -13,11 +13,11 @@ Two families, after the DESIL framing (PAPERS.md):
   with a correct claim).
 
 Every mutator is a pure function ``Function -> List[Mutation]`` that
-never touches its input: each mutation re-parses the printed seed and
-perturbs the copy, and carries the full mutant module text so the
-campaign worker can rebuild it anywhere.  Which rules score against
-which mutants is declared on the *rules* (``LintRule.attacked_by``);
-``rules_attacked_by`` is the join.
+never touches its input: each mutation clones the seed into a fresh
+module and perturbs the copy, and carries the full mutant module text
+so the campaign worker can rebuild it anywhere.  Which rules score
+against which mutants is declared on the *rules*
+(``LintRule.attacked_by``); ``rules_attacked_by`` is the join.
 
 Mutators only target the corpus shape the opt-fuzz enumerator emits: a
 single ``entry`` block ending in ``ret iW %v``.  Seeds outside that
@@ -43,10 +43,12 @@ from ..ir.instructions import (
     Opcode,
     ReturnInst,
 )
+from ..ir.module import Module
 from ..ir.parser import parse_module
 from ..ir.printer import print_function, print_instruction, print_module
 from ..ir.types import FunctionType, VoidType
 from ..ir.values import ConstantInt, PoisonValue, UndefValue
+from ..opt.resilience.snapshot import clone_function
 
 KIND_UB_INJECT = "ub-inject"
 KIND_UB_REMOVE = "ub-remove"
@@ -130,8 +132,9 @@ def mutate_function(fn: Function, mutators=None) -> List[Mutation]:
 
 
 def _copy(fn: Function) -> Function:
-    module = parse_module(print_function(fn))
-    return module.get_function(fn.name)
+    """The seed, cloned alone into a fresh module (opt-fuzz seeds call
+    nothing and read no globals, so the clone needs nothing else)."""
+    return Module().add_function(clone_function(fn))
 
 
 def _entry_ret(fn: Function):

@@ -30,16 +30,19 @@ from ...ir.values import GlobalVariable, Value
 from ..clone import clone_instruction
 
 
-def clone_function(fn: Function) -> Function:
+def clone_function(fn: Function, module=None) -> Function:
     """A detached structural deep copy of ``fn``.
 
     Blocks and instructions are cloned; arguments map index-for-index to
     fresh :class:`Argument` objects; everything defined *outside* the
-    function (constants, globals, callees) stays shared.  The clone has
-    ``module=None`` and never appears in any symbol table.
+    function (constants, globals, callees) stays shared.  The clone
+    never appears in any symbol table; its ``module`` is ``module``
+    (None by default), so a clone given ``fn.module`` still sees that
+    module's globals and can declare callees in it.
     """
     clone = Function(fn.function_type, fn.name, module=None,
                      arg_names=[a.name for a in fn.args])
+    clone.module = module
     value_map: Dict[Value, Value] = {
         a: ca for a, ca in zip(fn.args, clone.args)
     }

@@ -43,7 +43,18 @@ entry→exit path becomes straight-line code, and a branch drops the lanes
 that leave the path.  Lanes shared by several paths up to a UB point are
 recorded by the first of them only.
 
-Everything outside this fragment — loops, memory, calls, vectors,
+A plan lowered with ``record_calls=True`` also executes calls to
+declared ``void`` functions — the observation calls lint-attack's
+ground truth inserts — as **event** steps: each records, for every lane,
+the callee and its arguments' value, poison and undef lanes, exactly
+the ``(callee, argument bits)`` events of a scalar
+:class:`~repro.semantics.interp.Behavior`.  Events live in the lane
+state next to the environment, so a fork copies them and a lane that
+later executes UB keeps the events it made before; the run's
+:attr:`Outcomes.events` then says which calls every row made.  Without
+that flag a call is ineligible, as it is for refinement checks.
+
+Everything outside this fragment — loops, memory, other calls, vectors,
 switches — raises :class:`VectorIneligible`, as does a function whose
 paths hold more choice points than the scalar oracle's ``max_choices``
 or whose forks would hold more than :data:`MAX_LANES` lanes at once.
@@ -71,6 +82,7 @@ from ..ir.function import Function
 from ..ir.instructions import (
     BinaryInst,
     BranchInst,
+    CallInst,
     CastInst,
     FreezeInst,
     IcmpInst,
@@ -348,31 +360,44 @@ def _take(x, sel):
     return x[sel] if x.ndim else x
 
 
+def _take_events(events, sel) -> tuple:
+    """Gather lanes ``sel`` of every ``(callee, argument lanes)`` event."""
+    return tuple((name, tuple(tuple(_take(x, sel) for x in lanes)
+                              for lanes in args))
+                 for name, args in events)
+
+
 class _LaneState:
     """Mutable execution state of one path program.
 
     ``idx[i]`` is the input tuple lane ``i`` runs on — an input appears
     once per choice prefix that reaches this point — ``env`` maps SSA
-    values to their ``(val, pois, undef)`` lanes, and ``ub`` collects
-    the input indices of lanes that executed immediate UB.  Such lanes
-    stay in the arrays as dead weight (``live`` is False there; None
-    means every lane is live) until the next fork or branch compacts
-    them away, so UB costs no gather of the whole environment.
+    values to their ``(val, pois, undef)`` lanes, ``events`` holds the
+    ``(callee, argument lanes)`` of every call executed so far, and
+    ``ub`` collects the input indices of lanes that executed immediate
+    UB, with ``ub_events`` their events at that point.  Such lanes stay
+    in the arrays as dead weight (``live`` is False there; None means
+    every lane is live) until the next fork or branch compacts them
+    away, so UB costs no gather of the whole environment.
     """
 
-    __slots__ = ("idx", "env", "ub", "live")
+    __slots__ = ("idx", "env", "ub", "live", "events", "ub_events")
 
     def __init__(self, idx, env: Dict[Value, tuple]):
         self.idx = idx
         self.env = env
         self.ub: List = []
         self.live = None
+        self.events: tuple = ()
+        self.ub_events: List[tuple] = []
 
     def take(self, sel) -> None:
         """Keep (or repeat) lanes: lane ``i`` becomes old lane ``sel[i]``."""
         self.idx = self.idx[sel]
         self.env = {v: (_take(val, sel), _take(pois, sel), _take(undef, sel))
                     for v, (val, pois, undef) in self.env.items()}
+        if self.events:
+            self.events = _take_events(self.events, sel)
         self.live = None
 
     def kill(self, mask, record: bool) -> None:
@@ -386,6 +411,8 @@ class _LaneState:
             mask = _np.ones(len(self.idx), dtype=bool)
         if record:
             self.ub.append(self.idx[mask])
+            self.ub_events.append(
+                _take_events(self.events, mask) if self.events else ())
         self.live = ~mask if self.live is None else self.live & ~mask
 
     def keep(self, mask) -> None:
@@ -428,6 +455,13 @@ class Outcomes(NamedTuple):
     returned undef), ``ub`` holds the input index of every path that
     executed immediate UB, and ``paths[i]`` is the number of oracle
     paths of input ``i``.
+
+    ``events`` is None unless the plan records calls.  Then it holds
+    one ``(is_ub, start, stop, events)`` entry per run of rows that made
+    the same calls: rows ``start:stop`` of the returning rows (of ``ub``
+    when ``is_ub``) made ``events``, a tuple of ``(callee, argument
+    lanes)`` in execution order, each argument's ``(val, pois, undef)``
+    lanes aligned with those rows (numpy scalars for a constant).
     """
 
     idx: object
@@ -436,6 +470,7 @@ class Outcomes(NamedTuple):
     undef: object
     ub: object
     paths: object
+    events: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +560,21 @@ class VectorPlan:
     ``run`` executes every oracle path of every input lane-parallel —
     each choice point forks the lanes that need a choice, so one run
     covers what the scalar oracle enumerates input by input — and
-    returns the resulting :class:`Outcomes`.
+    returns the resulting :class:`Outcomes`.  ``record_calls`` lowers
+    calls to declared void functions into event steps (see the module
+    docstring) instead of declining them.
     """
 
-    __slots__ = ("fn", "config", "paths", "ret_width", "max_path_steps")
+    __slots__ = ("fn", "config", "paths", "ret_width", "max_path_steps",
+                 "record_calls")
 
     def __init__(self, fn: Function, config: SemanticsConfig,
-                 max_choices: int = 24, fuel: int = 10_000):
+                 max_choices: int = 24, fuel: int = 10_000,
+                 record_calls: bool = False):
         _require_numpy()
         self.fn = fn
         self.config = config
+        self.record_calls = record_calls
         if fn.module is not None and fn.module.globals:
             raise VectorIneligible(
                 "globals", "module has global variables (memory observables)")
@@ -556,7 +596,7 @@ class VectorPlan:
                 prefix = tuple(blocks[:i + 1])
                 owns.append(prefix not in seen_prefixes)
                 seen_prefixes.add(prefix)
-            path = _compile_path(blocks, config, owns)
+            path = _compile_path(blocks, config, owns, record_calls)
             choice_points = max(choice_points, path.choice_points)
             self.paths.append(path)
         if choice_points > max_choices:
@@ -583,6 +623,8 @@ class VectorPlan:
         base_env = dict(zip(self.fn.args, arg_lanes))
         rets: List[tuple] = []
         ub: List = []
+        ret_events: List[tuple] = []
+        ub_events: List[tuple] = []
         void = (np.int64(0), np.False_, np.False_)
         start = np.arange(n)
         for path in self.paths:
@@ -594,17 +636,21 @@ class VectorPlan:
             if path.unreachable:
                 state.kill(np.True_, True)
             ub.extend(state.ub)
+            ub_events.extend(state.ub_events)
             idx = state.idx
             if not len(idx):
                 continue
             lanes = (void if path.ret_fetch is None
                      else path.ret_fetch(state.env))
+            events = state.events
             if state.live is not None:
                 sel = state.live.nonzero()[0]
                 idx = idx[sel]
                 lanes = [_take(x, sel) for x in lanes]
+                events = _take_events(events, sel)
             if len(idx):
                 rets.append((idx, *lanes))
+                ret_events.append(events)
         idx, val, pois = (_column(rets, k, dtype) for k, dtype
                           in enumerate((np.int64, np.int64, bool)))
         # a run in which no path returns undef (every NEW run) says so
@@ -624,7 +670,21 @@ class VectorPlan:
             raise VectorIneligible(
                 "lane-coverage",
                 f"lowering left lanes of @{self.fn.name} unassigned")
-        return Outcomes(idx, val, pois, undef, ub_idx, paths)
+        events = None
+        if self.record_calls:
+            events = (_event_runs(False, [r[0] for r in rets], ret_events)
+                      + _event_runs(True, ub, ub_events))
+        return Outcomes(idx, val, pois, undef, ub_idx, paths, events)
+
+
+def _event_runs(is_ub: bool, rows: List, events: List[tuple]) -> tuple:
+    """``(is_ub, start, stop, events)`` per block of concatenated rows."""
+    runs = []
+    start = 0
+    for idx, evs in zip(rows, events):
+        runs.append((is_ub, start, start + len(idx), evs))
+        start += len(idx)
+    return tuple(runs)
 
 
 def _column(rets: List[tuple], k: int, dtype):
@@ -667,7 +727,7 @@ def _enumerate_paths(fn: Function) -> List[List[BasicBlock]]:
 
 
 def _compile_path(blocks: List[BasicBlock], config: SemanticsConfig,
-                  owns: List[bool]) -> _PathProgram:
+                  owns: List[bool], record_calls: bool) -> _PathProgram:
     program = _PathProgram()
     for i, block in enumerate(blocks):
         pred = blocks[i - 1] if i else None
@@ -698,8 +758,8 @@ def _compile_path(blocks: List[BasicBlock], config: SemanticsConfig,
                 _compile_path_terminator(inst, blocks, i, config, owns[i],
                                          program)
                 break
-            program.steps.append(
-                _compile_vector_instruction(inst, config, owns[i], program))
+            program.steps.append(_compile_vector_instruction(
+                inst, config, owns[i], program, record_calls))
     return program
 
 
@@ -750,7 +810,8 @@ def _result(kernel_out, state: _LaneState, owns: bool):
 
 def _compile_vector_instruction(inst: Instruction,
                                 config: SemanticsConfig, owns: bool,
-                                program: _PathProgram):
+                                program: _PathProgram,
+                                record_calls: bool):
     if isinstance(inst, (BinaryInst, IcmpInst)):
         if isinstance(inst, BinaryInst):
             width = _int_width(inst.type, inst.ref())
@@ -804,9 +865,32 @@ def _compile_vector_instruction(inst: Instruction,
             state.env[inst] = (val, np.False_, np.False_)
         return run_freeze
 
+    if record_calls and isinstance(inst, CallInst):
+        return _compile_vector_call(inst, config)
+
     raise VectorIneligible(
         "unsupported-op",
         f"no vector lowering for {inst.opcode.value}")
+
+
+def _compile_vector_call(inst: CallInst, config: SemanticsConfig):
+    """An event step: a call to a declared ``void`` function records its
+    callee and argument lanes, unexpanded (a scalar external call reads
+    its arguments' bits, undef included, without choosing)."""
+    callee = inst.callee
+    if not (callee.is_declaration and callee.return_type.is_void):
+        raise VectorIneligible(
+            "unsupported-op",
+            f"call to @{callee.name} is not a declared void function")
+    for arg in inst.args:
+        _int_width(arg.type, f"argument of call to @{callee.name}")
+    name = callee.name
+    fetches = tuple(_compile_fetch(arg, config) for arg in inst.args)
+
+    def run_call(state):
+        args = tuple(fetch(state.env) for fetch in fetches)
+        state.events = state.events + ((name, args),)
+    return run_call
 
 
 def _compile_vector_select(inst: SelectInst, config: SemanticsConfig,

@@ -86,14 +86,16 @@ class CircuitBreaker:
     """Shed requests to a server that keeps failing.
 
     closed → (``failure_threshold`` consecutive failures) → open →
-    (``reset_timeout`` elapses) → half-open → success closes /
-    failure re-opens.
+    (``reset_timeout`` elapses on ``clock``) → half-open → success
+    closes / failure re-opens.
     """
 
     def __init__(self, failure_threshold: int = 5,
-                 reset_timeout: float = 10.0):
+                 reset_timeout: float = 10.0,
+                 clock: Callable[[], float] = time.monotonic):
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
+        self.clock = clock
         self._lock = threading.Lock()
         self._failures = 0
         self._state = "closed"
@@ -108,7 +110,7 @@ class CircuitBreaker:
 
     def _state_locked(self) -> str:
         if (self._state == "open"
-                and time.monotonic() - self._opened_at
+                and self.clock() - self._opened_at
                 >= self.reset_timeout):
             self._state = "half-open"
         return self._state
@@ -135,7 +137,7 @@ class CircuitBreaker:
                     was == "closed"
                     and self._failures >= self.failure_threshold):
                 self._state = "open"
-                self._opened_at = time.monotonic()
+                self._opened_at = self.clock()
                 self.opens += 1
                 NUM_BREAKER_OPENS.inc()
 

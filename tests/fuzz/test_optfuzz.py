@@ -92,6 +92,31 @@ class TestIndexedAccess:
         with pytest.raises(IndexError):
             function_at_index(-1, 1)
 
+    def test_function_at_index_same_with_cold_and_warm_cache(self):
+        from repro.fuzz.optfuzz import _enum_spaces
+
+        args = dict(width=2, num_args=2, opcodes=list(SMALL_OPCODES),
+                    include_flags=True)
+        indices = (0, 9_999, 123_456, enumeration_size(2, **args) - 1)
+        _enum_spaces.cache_clear()
+        cold = [print_module(function_at_index(i, 2, **args).module)
+                for i in indices]
+        assert _enum_spaces.cache_info().misses == 1
+        warm = [print_module(function_at_index(i, 2, **args).module)
+                for i in indices]
+        assert _enum_spaces.cache_info().hits >= len(indices)
+        assert cold == warm
+
+    def test_cached_spaces_are_immutable(self):
+        from repro.fuzz.optfuzz import _enum_spaces
+
+        spaces = _enum_spaces(1, 2, 2, SMALL_OPCODES, True, False)
+        assert _enum_spaces(1, 2, 2, SMALL_OPCODES, True, False) is spaces
+        with pytest.raises(TypeError):
+            spaces[0][0] = spaces[0][1]
+        with pytest.raises(AttributeError):
+            spaces[0][0].opcode = Opcode.XOR
+
     def test_limit_composes_with_start(self):
         fns = list(enumerate_functions(1, start=440, limit=100))
         assert len(fns) == 8  # clipped at the end of the space

@@ -132,3 +132,24 @@ def test_mutation_as_dict_round_trips_fields():
     assert data["mutator"] == "guard-branch"
     assert data["seed"] == "seed"
     assert data["ir"] == m.ir
+
+
+def test_mutants_match_the_print_and_parse_copy(monkeypatch):
+    """Cloning the seed into a fresh module (instead of printing and
+    re-parsing it) leaves every mutant's text unchanged."""
+    import repro.mutate.mutators as mutators
+    from repro.campaign.lint_attack import AttackSpec
+    from repro.ir import print_function
+
+    spec = AttackSpec(limit=64)
+    spec = spec.with_(stride=spec.enumeration_size() // 64)
+    seeds = [spec.seed_at(position) for position in range(64)]
+    cloned = [[m.ir for m in mutate_function(seed)] for seed in seeds]
+
+    def print_and_parse(fn):
+        return parse_module(print_function(fn)).get_function(fn.name)
+
+    monkeypatch.setattr(mutators, "_copy", print_and_parse)
+    parsed = [[m.ir for m in mutate_function(seed)] for seed in seeds]
+    assert sum(map(len, cloned)) > 64
+    assert cloned == parsed

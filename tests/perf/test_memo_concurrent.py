@@ -11,18 +11,20 @@ import json
 import multiprocessing
 import os
 import threading
-import time
 
 from repro.perf import RefinementMemo
 
 CTX = "ctx"
 
 
-def _appender(disk_dir: str, worker: int, count: int) -> None:
+def _appender(disk_dir: str, worker: int, count: int,
+              flushed=None) -> None:
     memo = RefinementMemo(CTX, disk_dir=disk_dir)
     for i in range(count):
         memo.record(f"w{worker}-h{i}", "verified")
         memo.flush()  # one line per flush: maximal interleaving
+        if flushed is not None:
+            flushed.put(worker)
 
 
 class TestMultiProcess:
@@ -32,18 +34,19 @@ class TestMultiProcess:
         ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
+        flushed = ctx.Queue()
         procs = [ctx.Process(target=_appender,
-                             args=(disk_dir, w, per_worker))
+                             args=(disk_dir, w, per_worker, flushed))
                  for w in range(workers)]
         reader = RefinementMemo(CTX, disk_dir=disk_dir)
         for p in procs:
             p.start()
-        # refresh concurrently with the appends; must never crash or
-        # adopt a duplicate
+        # refresh after every flush, while the other appenders keep
+        # writing; must never crash or adopt a duplicate
         seen = 0
-        while any(p.is_alive() for p in procs):
+        for _ in range(workers * per_worker):
+            flushed.get(timeout=60)
             seen += reader.refresh()
-            time.sleep(0.002)
         for p in procs:
             p.join()
             assert p.exitcode == 0

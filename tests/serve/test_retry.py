@@ -3,7 +3,6 @@ idempotent replay over real sockets."""
 
 import asyncio
 import socket
-import time
 
 import pytest
 
@@ -34,6 +33,19 @@ def _fresh_breakers():
     reset_breakers()
     yield
     reset_breakers()
+
+
+class FakeClock:
+    """A breaker clock the test advances by hand."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
 
 
 def free_port() -> int:
@@ -90,10 +102,14 @@ class TestCircuitBreaker:
         assert breaker.report()["opens"] == 1
 
     def test_half_open_trial_closes_on_success(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.02)
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.02,
+                                 clock=clock)
         breaker.record_failure()
         assert breaker.state == "open"
-        time.sleep(0.03)
+        clock.advance(0.019)
+        assert breaker.state == "open"
+        clock.advance(0.001)
         assert breaker.state == "half-open"
         assert breaker.allow()  # one trial goes through
         breaker.record_success()
@@ -101,9 +117,11 @@ class TestCircuitBreaker:
         assert breaker.report()["consecutive_failures"] == 0
 
     def test_half_open_failure_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.02)
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.02,
+                                 clock=clock)
         breaker.record_failure()
-        time.sleep(0.03)
+        clock.advance(0.03)
         assert breaker.state == "half-open"
         breaker.record_failure()
         assert breaker.state == "open"
@@ -149,10 +167,11 @@ class TestRetryingClient:
 
     def test_half_open_trial_heals_against_a_live_server(self):
         def scenario(host, port):
+            clock = FakeClock()
             breaker = CircuitBreaker(failure_threshold=1,
-                                     reset_timeout=0.02)
+                                     reset_timeout=0.02, clock=clock)
             breaker.record_failure()  # open it by hand
-            time.sleep(0.03)
+            clock.advance(0.03)
             with RetryingClient(host=host, port=port,
                                 breaker=breaker) as client:
                 assert client.ping()["status"] == "ok"

@@ -208,56 +208,63 @@ class TestWorkerCrash:
         with_server(scenario)
 
 
+def hold_checks(monkeypatch):
+    """Make every refine check wait for the returned ``release`` event;
+    ``checking`` is set once a check holds its request's queue slot."""
+    import threading
+
+    import repro.serve.service as service
+
+    checking = threading.Event()
+    release = threading.Event()
+    check_source = service.check_source
+
+    def held_check_source(*args, **kwargs):
+        checking.set()
+        assert release.wait(120), "the test never released the check"
+        return check_source(*args, **kwargs)
+
+    monkeypatch.setattr(service, "check_source", held_check_source)
+    return checking, release
+
+
 class TestBackpressureAndDrain:
-    def test_queue_full_over_the_wire(self):
+    def test_queue_full_over_the_wire(self, monkeypatch):
         config = ServiceConfig(workers=1, high_water=1, check_threads=1)
+        checking, release = hold_checks(monkeypatch)
 
         def scenario(host, port):
             import threading
-            import time
 
-            started = threading.Event()
-            slow_result = {}
-
+            held_result = {}
             variants = [SRC.replace("add", op).replace("@f", f"@f{i}")
                         for i, op in enumerate(
                             ("add", "sub", "and", "or", "xor", "mul"))]
 
-            def slow_request():
+            def held_request():
                 with ServeClient(host=host, port=port, timeout=120) as c:
-                    started.set()
-                    slow_result.update(c.collect(
-                        "refine",
-                        {"functions": variants,
-                         "pipeline": "o2", "fuel": 5000,
-                         "max_inputs": 20000})[1])
+                    held_result.update(c.collect(
+                        "refine", {"functions": variants, **QUICK})[1])
 
-            t = threading.Thread(target=slow_request)
+            t = threading.Thread(target=held_request)
             t.start()
-            started.wait()
-            rejected = None
-            with ServeClient(host=host, port=port) as client:
-                # ping is ungated: wait until the slow refine actually
-                # holds the queue slot before hammering, so the hammer
-                # cannot win the admission race and evict it.
-                for _ in range(500):
-                    if client.ping().get("inflight", 0) >= 1:
-                        break
-                    time.sleep(0.002)
-                for _ in range(200):
-                    try:
+            try:
+                # the refine now holds the only queue slot
+                assert checking.wait(120)
+                with ServeClient(host=host, port=port) as client:
+                    with pytest.raises(ServeError) as rejected:
                         client.collect("lint", {"source": SRC})
-                    except ServeError as e:
-                        rejected = e
-                        break
+            finally:
+                release.set()
                 t.join()
-            assert rejected is not None
-            assert rejected.code == "queue-full"
-            assert slow_result.get("checked") == 6  # in-flight finished
+            assert rejected.value.code == "queue-full"
+            assert held_result.get("checked") == 6  # in-flight finished
 
         with_server(scenario, config)
 
-    def test_drain_finishes_inflight_rejects_new(self):
+    def test_drain_finishes_inflight_rejects_new(self, monkeypatch):
+        checking, release = hold_checks(monkeypatch)
+
         async def main():
             server = ValidationServer(
                 config=ServiceConfig(workers=1, check_threads=2))
@@ -266,7 +273,7 @@ class TestBackpressureAndDrain:
             inflight = {}
             rejected = {}
 
-            def slow_client():
+            def held_client():
                 with ServeClient(host=host, port=port, timeout=120) as c:
                     inflight.update(c.collect(
                         "refine", {"functions": [SRC], **QUICK})[1])
@@ -278,13 +285,15 @@ class TestBackpressureAndDrain:
                 except ServeError as e:
                     rejected["code"] = e.code
 
-            slow = asyncio.ensure_future(asyncio.to_thread(slow_client))
-            while server.service.gate.inflight == 0:
-                await asyncio.sleep(0.005)
-            server.service.start_drain()  # what SIGTERM triggers
-            await asyncio.to_thread(late_client)
+            held = asyncio.ensure_future(asyncio.to_thread(held_client))
+            try:
+                assert await asyncio.to_thread(checking.wait, 120)
+                server.service.start_drain()  # what SIGTERM triggers
+                await asyncio.to_thread(late_client)
+            finally:
+                release.set()
             clean = await server.shutdown(drain_timeout=30)
-            await slow
+            await held
             assert clean
             assert rejected["code"] == "draining"
             assert inflight.get("checked") == 1
