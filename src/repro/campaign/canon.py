@@ -22,8 +22,7 @@ import hashlib
 from typing import Dict, Optional, Union
 
 from ..ir import Function, parse_function, print_function
-from ..ir.instructions import CallInst
-from ..opt.resilience.snapshot import clone_function, discard_snapshot
+from ..opt.resilience.snapshot import copy_function, discard_snapshot
 
 # Not used here, but the end-to-end benchmark's tracer
 # (benchmarks/e2e/tracing.py) wraps these names in this module.
@@ -38,15 +37,7 @@ def canonical_function(fn: Union[Function, str]) -> Function:
     its constants, globals and callees, so the caller should hand the
     copy to :func:`~repro.opt.resilience.snapshot.discard_snapshot` when
     done with it."""
-    if isinstance(fn, str):
-        copy = parse_function(fn)
-    else:
-        copy = clone_function(fn)
-        # a recursive call names the function itself, which parsing
-        # would have resolved to the copy
-        for inst in copy.instructions():
-            if isinstance(inst, CallInst) and inst.callee is fn:
-                inst.callee = copy
+    copy = parse_function(fn) if isinstance(fn, str) else copy_function(fn)
     copy.name = "f"
     for i, arg in enumerate(copy.args):
         arg.name = f"c{i}"

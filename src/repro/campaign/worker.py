@@ -50,6 +50,7 @@ from ..diag import (
 )
 from ..ir import parse_function, print_function, print_module, verify_function
 from ..opt.resilience import GuardedPassError
+from ..opt.resilience.snapshot import copy_function, discard_snapshot
 from ..perf import RefinementMemo
 from ..refine import DEADLINE_REASON, CrossCheckMismatch, check_refinement
 from .canon import DedupCache, canonical_hash
@@ -114,9 +115,11 @@ def _stats_delta(before: Dict[str, Dict[str, int]],
 def check_function(spec: CampaignSpec, fn, src_text: str, h: str,
                    memo: Optional[RefinementMemo] = None,
                    options=None, semantics=None) -> dict:
-    """Optimize ``fn`` in place and refinement-check it against its
-    source text — the per-function unit of a shard, reusable outside
-    the shard loop (the serve layer batches requests through it).
+    """Optimize ``fn`` in place and refinement-check it against a copy
+    of itself taken before the pipeline runs — the per-function unit of
+    a shard, reusable outside the shard loop (the serve layer batches
+    requests through it).  ``src_text`` is ``fn``'s module text, which
+    crash and counterexample records carry.
 
     Returns an outcome dict: ``status`` is ``"memo-replay"``,
     ``"crashed"``, or ``"checked"`` (with ``verdict``); crash and
@@ -138,12 +141,16 @@ def check_function(spec: CampaignSpec, fn, src_text: str, h: str,
                 outcome.update(status="memo-replay", verdict=replayed)
             return outcome
 
-    before = parse_function(src_text)
+    # The source side of the check: a copy, so each function is parsed
+    # at most once.  It shares fn's constants and callees, so it is
+    # discarded once checked to keep their use lists from growing.
+    before = copy_function(fn, module=fn.module)
     pipeline = spec.make_pipeline()
     try:
         pipeline.run_on_function(fn)
         verify_function(fn)
     except Exception as e:
+        discard_snapshot(before)
         # A failure the policy did not absorb: GuardedPassError under
         # strict, or a raw crash/verifier rejection from an unguarded
         # pipeline.
@@ -182,6 +189,8 @@ def check_function(spec: CampaignSpec, fn, src_text: str, h: str,
                 "source": src_text,
             })
         return outcome
+    finally:
+        discard_snapshot(before)
     verdict = result.verdict
     deadline_aborted = (verdict == "inconclusive"
                         and DEADLINE_REASON in result.reason)

@@ -92,6 +92,8 @@ STAT_CATALOG: Set[Tuple[str, str]] = {
     ("perf", "num-memo-misses"),
     ("perf", "num-memo-quarantined"),
     ("perf", "num-memo-disk-errors"),
+    # pass manager fixpoint loop
+    ("pass-manager", "num-skipped-applications"),
     # pipeline summary counters
     ("pipeline", "num-freeze-instructions"),
     ("pipeline", "num-ir-instructions"),

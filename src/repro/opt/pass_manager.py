@@ -25,13 +25,25 @@ builds the historical one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional
+from typing import Dict, Hashable, List, Optional
 
-from ..diag import REMARK_PASSED, PassStats, PassTiming, emit_remark, span
+from ..diag import (
+    REMARK_PASSED,
+    PassStats,
+    PassTiming,
+    Statistic,
+    emit_remark,
+    span,
+)
 from ..ir.function import Function
 from ..ir.instructions import Instruction
 from ..ir.module import Module
 from ..semantics.config import NEW, OLD, SemanticsConfig
+
+NUM_SKIPPED = Statistic(
+    "pass-manager", "num-skipped-applications",
+    "Pass applications skipped because an equal pass already ran to no "
+    "change on the same IR")
 
 
 @dataclass(frozen=True)
@@ -85,6 +97,22 @@ class OptConfig:
     def with_(self, **kwargs) -> "OptConfig":
         return replace(self, **kwargs)
 
+    def __hash__(self) -> int:
+        # A pass manager hashes the config of each of its passes to find
+        # equal passes; the generated field-by-field hash would cost more
+        # than a pipeline build, so it is computed once per object.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> Dict[str, object]:
+        # str hashes differ between processes: never ship a cached one
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     # -- serialization (crash bundles record the exact configuration) ------
     def as_dict(self) -> Dict[str, object]:
         """JSON-safe form; the semantics config is stored by name."""
@@ -117,6 +145,18 @@ class FunctionPass:
     def run_on_function(self, fn: Function) -> bool:
         raise NotImplementedError
 
+    def memo_key(self) -> Optional[Hashable]:
+        """What makes two instances the same pass: the class and every
+        instance attribute (the config and any constructor arguments).
+
+        The pass manager skips an application when a pass with an equal
+        key already ran to no change on the function's current state.
+        That is sound because a pass that reports no change leaves the
+        IR untouched and a pass is deterministic in its key and its
+        input IR.  ``None``, or a key that cannot be hashed, means the
+        pass is never skipped."""
+        return (type(self), tuple(vars(self).items()))
+
     def remark(self, message: str, *, kind: str = REMARK_PASSED,
                inst: Optional[Instruction] = None,
                block=None, fn: Optional[Function] = None) -> None:
@@ -147,13 +187,22 @@ class PassManager:
     read these).  ``stats`` exposes the per-pass aggregates, as before;
     ``timing`` is the full :class:`~repro.diag.PassTiming` collector and
     may be shared between several managers to accumulate one compilation
-    end to end."""
+    end to end.
+
+    Within one :meth:`run_on_function` call the fixpoint loop skips an
+    application when a pass with the same :meth:`FunctionPass.memo_key`
+    already ran on the function's current state and reported no change
+    (see DESIGN "Resilience").  A skipped application runs nothing and
+    is not timed."""
 
     def __init__(self, passes: List[FunctionPass], max_iterations: int = 3,
                  timing: Optional[PassTiming] = None):
         self.passes = passes
         self.max_iterations = max_iterations
         self.timing = timing if timing is not None else PassTiming()
+        #: the passes' memo keys, computed on the first run (a pipeline
+        #: that is only built to be wrapped never pays for them)
+        self._keys: Optional[List[Optional[int]]] = None
 
     @property
     def stats(self) -> Dict[str, PassStats]:
@@ -171,20 +220,64 @@ class PassManager:
         return changed_any
 
     def run_on_function(self, fn: Function) -> bool:
+        # Keys of the passes that ran to no change on fn's current
+        # state; emptied whenever that state may have changed.
+        settled = set()
+        skipped = 0
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = _memo_keys(self.passes)
         changed_any = False
         for _ in range(self.max_iterations):
             changed = False
-            for p in self.passes:
-                # measure() accounts in a finally block: a pass that
-                # raises mid-run still records its elapsed time with a
-                # matching runs increment.  The span is a no-op unless
-                # tracing is enabled for this process.
-                with span(p.name, cat="pass", function=fn.name) as sp:
-                    with self.timing.measure(p.name, fn.name) as m:
-                        m.changed = p.run_on_function(fn)
-                    sp.set(changed=m.changed)
-                changed |= m.changed
+            for p, key in zip(self.passes, keys):
+                skip = key in settled
+                result = self._apply(p, fn, skip)
+                if result is False:
+                    skipped += skip
+                    if key is not None:
+                        settled.add(key)
+                else:
+                    changed |= bool(result)
+                    settled.clear()
             changed_any |= changed
             if not changed:
                 break
+        if skipped:
+            NUM_SKIPPED.inc(skipped)
         return changed_any
+
+    def _apply(self, p: FunctionPass, fn: Function,
+               skip: bool) -> Optional[bool]:
+        """One application of ``p`` to ``fn``: whether it changed the
+        function, or None when it did not run to completion (the
+        function may then differ from what every settled pass saw).
+        ``skip`` says an equal pass already ran to no change on the
+        current state, so the application must report no change without
+        running."""
+        if skip:
+            return False
+        # measure() accounts in a finally block: a pass that raises
+        # mid-run still records its elapsed time with a matching runs
+        # increment.  The span is a no-op unless tracing is enabled for
+        # this process.
+        with span(p.name, cat="pass", function=fn.name) as sp:
+            with self.timing.measure(p.name, fn.name) as m:
+                m.changed = p.run_on_function(fn)
+            sp.set(changed=m.changed)
+        return bool(m.changed)
+
+
+def _memo_keys(passes: List[FunctionPass]) -> List[Optional[int]]:
+    """Each pass's memo key as a small int (equal keys, equal ints), or
+    None for a pass that is never skipped."""
+    ids: Dict[Hashable, int] = {}
+    keys: List[Optional[int]] = []
+    for p in passes:
+        key = p.memo_key()
+        try:
+            keys.append(None if key is None
+                        else ids.setdefault(key, len(ids)))
+        except TypeError:  # an unhashable attribute
+            keys.append(None)
+    return keys

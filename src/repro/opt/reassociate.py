@@ -80,7 +80,10 @@ class Reassociate(FunctionPass):
         constants = [l for l in leaves if isinstance(l, ConstantInt)]
         variables = [l for l in leaves if not isinstance(l, ConstantInt)]
 
-        sorted_vars = sorted(variables, key=lambda v: (v.name, id(v)))
+        # Unnamed leaves (undef, poison) tie and keep their order: the
+        # sort is stable, and ordering them by address would make the
+        # rewrite differ from one process to the next.
+        sorted_vars = sorted(variables, key=lambda v: v.name)
         needs_reorder = sorted_vars != variables
         constants_buried = any(
             isinstance(l, ConstantInt) for l in leaves[:-1]

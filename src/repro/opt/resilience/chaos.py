@@ -191,6 +191,11 @@ class ChaosPass(FunctionPass):
             return True
         return changed
 
+    def memo_key(self) -> None:
+        # Every run draws the next event from the engine's schedule, so
+        # two runs on the same IR need not behave alike.
+        return None
+
     def __repr__(self) -> str:
         return f"<ChaosPass {self.inner!r}>"
 

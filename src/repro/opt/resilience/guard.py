@@ -28,7 +28,10 @@ and then the **policy** decides what happens next:
 
 ``bisect_limit`` is the ``-opt-bisect-limit`` analog: a global counter
 numbers every pass application and applications beyond the limit are
-skipped, which is what the bisection driver binary-searches over.
+skipped, which is what the bisection driver binary-searches over.  An
+application the fixpoint loop skips because an equal pass already ran
+to no change on the same IR still takes its number, so bisect indices
+do not depend on the skipping.
 """
 
 from __future__ import annotations
@@ -169,29 +172,24 @@ class GuardedPassManager(PassManager):
 
     # -- execution ---------------------------------------------------------
     def run_on_function(self, fn: Function) -> bool:
-        changed_any = False
         try:
-            for _ in range(self.max_iterations):
-                changed = False
-                for p in self.passes:
-                    changed |= self._run_guarded(p, fn)
-                changed_any |= changed
-                if not changed:
-                    break
+            return super().run_on_function(fn)
         finally:
             if self._snapshot is not None:
                 discard_snapshot(self._snapshot)
                 self._snapshot = None
-        return changed_any
 
-    def _run_guarded(self, p: FunctionPass, fn: Function) -> bool:
+    def _apply(self, p: FunctionPass, fn: Function,
+               skip: bool) -> Optional[bool]:
         self.pass_counter += 1
         index = self.pass_counter
         self.applications.append((index, p.name, fn.name))
         if self.bisect_limit is not None and index > self.bisect_limit:
             NUM_BISECT_SKIPPED.inc()
-            return False
+            return None
         if p.name in self.quarantined:
+            return None
+        if skip:
             return False
 
         # An application that reports no change leaves the function as
@@ -208,12 +206,12 @@ class GuardedPassManager(PassManager):
                 sp.set(failed=True)
                 snapshot, self._snapshot = self._snapshot, None
                 self._handle_failure(p, fn, snapshot, e, index)
-                return False
+                return None
             sp.set(changed=m.changed)
             if m.changed:
                 discard_snapshot(self._snapshot)
                 self._snapshot = None
-            return m.changed
+            return bool(m.changed)
 
     # -- failure handling --------------------------------------------------
     def _handle_failure(self, p: FunctionPass, fn: Function,

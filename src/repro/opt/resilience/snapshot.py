@@ -74,6 +74,18 @@ def clone_function(fn: Function, module=None) -> Function:
     return clone
 
 
+def copy_function(fn: Function, module=None) -> Function:
+    """:func:`clone_function` with recursive calls retargeted to the
+    copy, as parsing the function's text would resolve them: a copy
+    that stands for the original on its own, where a snapshot keeps
+    calling the live function it is restored into."""
+    copy = clone_function(fn, module=module)
+    for inst in copy.instructions():
+        if isinstance(inst, CallInst) and inst.callee is fn:
+            inst.callee = copy
+    return copy
+
+
 def restore_function(fn: Function, snapshot: Function) -> None:
     """Transplant ``snapshot``'s body into ``fn``, replacing whatever is
     there (typically the corrupted remains of a failed pass run).

@@ -14,8 +14,10 @@ from repro.campaign import (
     plan_shards,
 )
 from repro.campaign.executor import NUM_CHECKED, NUM_SHARDS_ERRORED
-from repro.campaign.worker import CRASH_ENV
+from repro.campaign.worker import CRASH_ENV, check_source
 from repro.diag import default_emitter
+from repro.ir import parse_function, print_module
+from repro.refine import check_refinement
 
 #: A corpus small enough for the test suite but rich enough to contain
 #: the Section 3 instcombine bugs: 1-instruction mul/shl over i2.
@@ -48,6 +50,43 @@ class TestVerdicts:
         assert "define" in cex["optimized"]
         assert cex["counterexample"]
         assert len(cex["hash"]) == 64
+
+
+class TestSourceCopy:
+    #: a = 0 recurses into the a != 0 case, where legacy InstCombine's
+    #: mul b, 2 -> add b, b miscompiles an undef b.  The source side of
+    #: the check must recurse into the source: recursing into the
+    #: optimized function would move the counterexample to (1, undef).
+    RECURSIVE = """
+define i2 @f(i2 %a, i2 %b) {
+entry:
+  %c = icmp ne i2 %a, 0
+  br i1 %c, label %base, label %rec
+base:
+  %u = mul i2 %b, 2
+  ret i2 %u
+rec:
+  %r = call i2 @f(i2 1, i2 %b)
+  ret i2 %r
+}
+"""
+
+    @pytest.mark.parametrize("opt_config", ["fixed", "legacy"])
+    def test_self_calls_check_like_a_parsed_source(self, opt_config):
+        spec = CampaignSpec(mode="random", num_instructions=1,
+                            pipeline="o2", opt_config=opt_config)
+        outcome = check_source(spec, self.RECURSIVE)
+
+        fn = parse_function(self.RECURSIVE)
+        before = parse_function(print_module(fn.module))
+        spec.make_pipeline().run_on_function(fn)
+        expected = check_refinement(before, fn, spec.semantics(),
+                                    options=spec.check_options())
+        assert outcome["verdict"] == expected.verdict
+        if opt_config == "legacy":
+            assert expected.failed
+            assert outcome["counterexample"]["counterexample"] == \
+                str(expected.counterexample)
 
 
 class TestWorkerCountIndependence:

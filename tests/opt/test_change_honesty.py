@@ -3,12 +3,16 @@
 The guarded pass manager keeps one snapshot across applications that
 report no change, so a pass that edits the function in place and
 returns ``False`` would make a later rollback restore the wrong state.
-Every o2 pass is held to the contract here, in pipeline order (so each
+The fixpoint loop also skips an application when a pass with the same
+memo key already ran to no change on the same IR, which needs each pass
+to be deterministic: a fresh twin run on that IR reports no change too.
+Every o2 pass is held to both contracts here, in pipeline order (so each
 pass sees the IR the pipeline would hand it), under both the fixed and
 the legacy configuration, over the whole 1-instruction i2 corpus and a
 seeded sample of random 3-instruction functions.
 """
 
+import copy
 from itertools import chain
 
 import pytest
@@ -25,9 +29,11 @@ CONFIGS = {
 
 
 def _dishonest_applications(fn, pipeline):
-    """Run ``pipeline`` over ``fn`` the way a pass manager does and
-    return ``(pass, before, after)`` for every application that changed
-    the printed IR while reporting no change."""
+    """Run ``pipeline`` over ``fn`` the way a pass manager without the
+    memo does and return ``(pass, before, after)`` for every application
+    that changed the printed IR while reporting no change, and for every
+    fresh twin (a pass with the same memo key) that, run on the IR where
+    its twin reported no change, reported a change or edited the IR."""
     found = []
     for _ in range(pipeline.max_iterations):
         changed = False
@@ -35,10 +41,16 @@ def _dishonest_applications(fn, pipeline):
             before = print_function(fn)
             if p.run_on_function(fn):
                 changed = True
-            else:
-                after = print_function(fn)
-                if after != before:
-                    found.append((p.name, before, after))
+                continue
+            after = print_function(fn)
+            if after != before:
+                found.append((p.name, before, after))
+                continue
+            twin = copy.copy(p)
+            assert twin.memo_key() == p.memo_key()
+            if twin.run_on_function(fn) or print_function(fn) != after:
+                found.append((f"{p.name} (twin)", after,
+                              print_function(fn)))
         if not changed:
             break
     return found
@@ -57,5 +69,6 @@ def test_o2_passes_report_every_change(config):
     assert count == 448 + 2048
     assert not dishonest, (
         f"{len(dishonest)} applications changed the IR but reported no "
-        f"change; first: {dishonest[0][0]}\n{dishonest[0][1]}"
+        f"change, or their twin did not; first: {dishonest[0][0]}\n"
+        f"{dishonest[0][1]}"
         f"--- became ---\n{dishonest[0][2]}")

@@ -467,6 +467,21 @@ entry:
         r = check_refinement(before, fn, NEW)
         assert r.ok
 
+    @pytest.mark.parametrize("operands", ["undef, poison", "poison, undef"])
+    def test_unnamed_leaves_keep_their_order(self, operands):
+        """Leaves without a name tie in the canonical order; the rewrite
+        must not depend on where they sit in memory."""
+        src = f"""
+define i2 @f() {{
+entry:
+  %v0 = add i2 {operands}
+  %v2 = add i2 %v0, -2
+  ret i2 %v2
+}}"""
+        fn, changed = apply_pass(Reassociate(FIXED), src)
+        assert not changed
+        assert print_function(fn) == print_function(parse_function(src))
+
     def test_mul_chain(self):
         fn, changed, r = validate(Reassociate(FIXED), """
 define i8 @f(i8 %x) {
