@@ -9,9 +9,7 @@ Measures the perf layer introduced for the campaign engine and writes a
   it) — plus the warm-vs-off wall-clock speedup;
 * **cache hit rate** of the warm run, from the ``perf`` stats registry;
 * **interpreter steps/sec** of the plan-compiled interpreter over a
-  seeded corpus sample;
-* **SMT session reuse**: the same symbolic checks one-shot vs through a
-  shared :class:`SolverSession` (circuits + learned clauses reused).
+  seeded corpus sample.
 
 The script is also the CI gate: it exits nonzero if the warm hit rate
 is 0 (cache wired but dead), if verdict sets are not byte-identical
@@ -35,15 +33,12 @@ import sys
 import tempfile
 import time
 
+from provenance import stamp
 from repro.campaign import CampaignSpec, CampaignRunner
 from repro.diag import stats_snapshot
 from repro.fuzz import random_functions
-from repro.ir import parse_function, print_module
-from repro.opt import OptConfig, single_pass_pipeline
-from repro.refine.symbolic import check_refinement_symbolic
 from repro.semantics import NEW
 from repro.semantics.interp import run_once
-from repro.smt.solver import SolverSession
 
 #: warm-vs-off speedup the full run must clear (acceptance criterion).
 SPEEDUP_GATE = 3.0
@@ -142,42 +137,6 @@ def bench_interpreter(quick: bool) -> dict:
     }
 
 
-def bench_smt_session(quick: bool) -> dict:
-    """The same symbolic refinement checks one-shot vs through a shared
-    session."""
-    count = 30 if quick else 120
-    pairs = []
-    for fn in random_functions(count, seed=17):
-        src = parse_function(print_module(fn.module))
-        single_pass_pipeline("instcombine",
-                             OptConfig.fixed()).run_on_function(fn)
-        pairs.append((src, fn))
-
-    start = time.perf_counter()
-    solo = [check_refinement_symbolic(s, t).verdict for s, t in pairs]
-    solo_wall = time.perf_counter() - start
-
-    session = SolverSession()
-    hits_before = session.blaster.cache_hits
-    start = time.perf_counter()
-    shared = [
-        check_refinement_symbolic(s, t, session=session).verdict
-        for s, t in pairs
-    ]
-    shared_wall = time.perf_counter() - start
-
-    return {
-        "checks": len(pairs),
-        "verdicts_identical": solo == shared,
-        "one_shot_wall_seconds": round(solo_wall, 4),
-        "session_wall_seconds": round(shared_wall, 4),
-        "session_speedup": (round(solo_wall / shared_wall, 2)
-                            if shared_wall else 0.0),
-        "circuits_reused": session.blaster.cache_hits - hits_before,
-        "session_queries": session.queries,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -189,11 +148,10 @@ def main(argv=None) -> int:
 
     report = {
         "experiment": "E10",
-        "quick": args.quick,
+        **stamp(args.quick),
         "workers": 1,
         "memo_campaign": bench_memo_campaign(args.quick),
         "interpreter": bench_interpreter(args.quick),
-        "smt_session": bench_smt_session(args.quick),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -210,8 +168,6 @@ def main(argv=None) -> int:
     print(f"  interpreter: {report['interpreter']['steps_per_sec']:,.0f} "
           f"steps/sec over {report['interpreter']['executions']} "
           f"executions")
-    print(f"  smt session: {report['smt_session']['session_speedup']}x, "
-          f"{report['smt_session']['circuits_reused']} circuits reused")
     print(f"  wrote {args.out}")
 
     failures = []
@@ -219,8 +175,6 @@ def main(argv=None) -> int:
         failures.append("verdict sets differ across cache modes")
     if memo["cache_hit_rate"] == 0:
         failures.append("memo cache hit rate is 0 (cache wired but dead)")
-    if not report["smt_session"]["verdicts_identical"]:
-        failures.append("session and one-shot SMT verdicts differ")
     if not args.quick and memo["speedup_warm_vs_off"] < SPEEDUP_GATE:
         failures.append(
             f"warm speedup {memo['speedup_warm_vs_off']}x under the "

@@ -16,9 +16,9 @@ trajectory later PRs are held to:
   semantics — the contradiction count must be zero.
 
 The script is the CI gate for the analysis layer: it exits nonzero if
-the audit finds any contradiction, if flow-powered FreezeOpts fails to
-beat the shallow walk, or if any flow-powered transform is not a
-refinement.
+the audit finds any contradiction or leaves a function unaudited, if
+flow-powered FreezeOpts fails to beat the shallow walk, or if any
+flow-powered transform is not a refinement.
 
 Usage::
 
@@ -35,8 +35,9 @@ import os
 import sys
 import time
 
+from provenance import stamp
 from repro.analysis.poison_flow import analyze_poison_flow
-from repro.campaign.lint_audit import AuditOptions, run_lint_audit
+from repro.campaign.lint_audit import run_lint_audit
 from repro.diag import default_registry, reset_stats
 from repro.fuzz.optfuzz import enumeration_size, function_at_index
 from repro.ir import Opcode, parse_function, parse_module, print_function
@@ -166,16 +167,19 @@ def bench_lint_audit(quick: bool) -> dict:
                             include_flags=True, limit=limit,
                             stride=max(1, enumeration_size(
                                 2, width=2, opcodes=_OPS,
-                                include_flags=True) // limit),
-                            opts=AuditOptions())
+                                include_flags=True) // limit))
     wall = time.perf_counter() - start
     totals = report["totals"]
+    engines = report["stats"].get("lint-audit", {})
     return {
         "functions": totals["functions"],
         "claims": totals["claims"],
         "observations": totals["observations"],
         "silent_verdicts": totals["silent_verdicts"],
         "contradictions": len(report["contradictions"]),
+        "unaudited": totals["unaudited"],
+        "vector_functions": engines.get("num-vector-functions", 0),
+        "vector_fallbacks": engines.get("num-vector-fallbacks", 0),
         "wall_sec": round(wall, 2),
     }
 
@@ -190,7 +194,7 @@ def main(argv=None) -> int:
 
     report = {
         "experiment": "E11",
-        "quick": args.quick,
+        **stamp(args.quick),
         "analyzer": bench_analyzer(args.quick),
         "freeze_elimination": bench_freeze_elimination(args.quick),
         "lint": bench_lint(args.quick),
@@ -212,7 +216,9 @@ def main(argv=None) -> int:
           f"findings {li['findings_by_rule']}")
     print(f"  lint-audit: {au['claims']} claims, "
           f"{au['observations']} observations, "
-          f"{au['contradictions']} contradiction(s) in {au['wall_sec']}s")
+          f"{au['contradictions']} contradiction(s) in {au['wall_sec']}s "
+          f"({au['vector_functions']} vector, {au['vector_fallbacks']} "
+          f"scalar, {au['unaudited']} unaudited)")
     print(f"  wrote {args.out}")
 
     failures = []
@@ -220,6 +226,9 @@ def main(argv=None) -> int:
         failures.append(
             f"lint-audit found {au['contradictions']} analyzer "
             f"soundness contradiction(s)")
+    if au["unaudited"]:
+        failures.append(f"lint-audit gave no verdict on {au['unaudited']} "
+                        f"function(s)")
     if not fr["flow_strictly_more"]:
         failures.append("flow-powered FreezeOpts did not beat the "
                         "shallow walk")

@@ -446,7 +446,7 @@ def _cmd_lint_audit(args: argparse.Namespace) -> int:
 
     from ..fuzz.optfuzz import enumeration_size
     from ..ir import Opcode
-    from .lint_audit import AuditOptions, run_lint_audit
+    from .lint_audit import run_lint_audit
 
     opcodes = tuple(
         name.strip() for name in args.opcodes.split(",") if name.strip()
@@ -478,7 +478,7 @@ def _cmd_lint_audit(args: argparse.Namespace) -> int:
         include_flags=args.include_flags,
         include_deferred=args.include_deferred,
         limit=args.limit, start=args.start, stride=stride,
-        opts=AuditOptions(bundle_dir=bundle_dir),
+        bundle_dir=bundle_dir,
         progress=progress if not args.json else None)
 
     bad = report["contradictions"]
@@ -491,6 +491,10 @@ def _cmd_lint_audit(args: argparse.Namespace) -> int:
               f"({t['must_not']} must-not-poison, {t['must']} "
               f"must-poison), {t['observations']} observation(s)")
         print(f"  silent verdicts validated: {t['silent_verdicts']}")
+        engines = report["stats"].get("lint-audit", {})
+        print(f"  oracle: {engines.get('num-vector-functions', 0)} "
+              f"vector, {engines.get('num-vector-fallbacks', 0)} scalar "
+              f"fallback(s), {t['unaudited']} unaudited")
         if report["lint_findings"]:
             findings = ", ".join(f"{k}: {v}" for k, v in
                                  report["lint_findings"].items())

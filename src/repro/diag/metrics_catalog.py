@@ -74,6 +74,8 @@ STAT_CATALOG: Set[Tuple[str, str]] = {
     ("lint-audit", "num-contradictions"),
     ("lint-audit", "num-functions-audited"),
     ("lint-audit", "num-observations"),
+    ("lint-audit", "num-vector-functions"),
+    ("lint-audit", "num-vector-fallbacks"),
     # adversarial lint-attack campaigns
     ("lint-attack", "num-seeds-attacked"),
     ("lint-attack", "num-mutants"),
@@ -142,9 +144,6 @@ STAT_CATALOG: Set[Tuple[str, str]] = {
     ("resilience", "num-quarantined-passes"),
     ("resilience", "num-recoveries"),
     ("resilience", "num-verify-failures"),
-    # SMT layer
-    ("smt", "num-circuits-reused"),
-    ("smt", "num-session-queries"),
     # lint rules (per-rule counters use the rule id as counter name)
     ("lint", "num-branch-on-maybe-poison"),
     ("lint", "num-ub-sink-reaches-poison"),

@@ -7,9 +7,7 @@ hashable inputs, so each gets a cache at its own layer:
   by canonical IR hash × campaign context, with an optional on-disk
   layer shared across shards and runs;
 * :class:`repro.semantics.interp.PlanCache` — compiled execution plans,
-  shared across the inputs and oracle paths of one check;
-* :class:`repro.smt.solver.SolverSession` — bit-blasted circuits and
-  learned clauses, shared across a sequence of SMT queries.
+  shared across the inputs and oracle paths of one check.
 """
 
 from .memo import (

@@ -163,6 +163,15 @@ def _expand_undef_bits(behavior: Behavior, cap: int = 4096):
     return expansions, needed
 
 
+def _fixed_order(behavior: Behavior) -> str:
+    """A sort key that is the same in every process.  Behaviors hash
+    through ``PBIT``/``UBIT`` (by identity) and event names (by
+    ``PYTHONHASHSEED``), so set order is not; the bits' reprs are fixed
+    tokens."""
+    return repr((behavior.kind, behavior.ret, behavior.events,
+                 behavior.memory))
+
+
 def check_behavior_sets(src_behaviors: FrozenSet[Behavior],
                         tgt_behaviors: FrozenSet[Behavior],
                         undef_cap: int = 4096,
@@ -170,7 +179,9 @@ def check_behavior_sets(src_behaviors: FrozenSet[Behavior],
     if any(b.kind == UB for b in src_behaviors):
         return BehaviorSetResult(ok=True)
     src_may_diverge = any(b.kind == TIMEOUT for b in src_behaviors)
-    for tgt in tgt_behaviors:
+    # the first target behavior (in a fixed order) that is not covered
+    # decides the verdict and is the witness
+    for tgt in sorted(tgt_behaviors, key=_fixed_order):
         if any(behavior_covers(src, tgt) for src in src_behaviors):
             continue
         # A target behavior with undef bits is a *set* of behaviors;

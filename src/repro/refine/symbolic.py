@@ -57,7 +57,7 @@ from ..ir.types import IntType
 from ..ir.values import Argument, ConstantInt, PoisonValue, UndefValue, Value
 from ..smt import terms as T
 from ..smt.sat import SAT, UNSAT
-from ..smt.solver import Solver, SolverSession
+from ..smt.solver import Solver
 from .exhaustive import RefinementResult
 
 
@@ -355,21 +355,13 @@ class FunctionEncoder:
 
 def check_refinement_symbolic(src: Function, tgt: Function,
                               max_conflicts: int = 500_000,
-                              session: Optional[SolverSession] = None,
                               deadline: Optional[float] = None
                               ) -> RefinementResult:
     """SMT-based refinement check (NEW semantics, poison-only fragment).
 
     Returns ``inconclusive`` when either function falls outside the
     fragment (the caller should fall back to the exhaustive checker).
-
-    ``session`` runs the query through a shared :class:`SolverSession`:
-    argument variables are named positionally (``arg0``, ``arg0.poison``,
-    ...), and terms are globally hash-consed, so functions with the same
-    signature re-encounter the same terms — their circuits come from the
-    session's bit-blast cache and the CDCL solver keeps every clause it
-    learned on earlier checks.  Verdicts are identical with or without a
-    session; only the work is shared.
+    Each call builds a fresh :class:`Solver`.
     """
     if len(src.args) != len(tgt.args) or any(
         a.type is not b.type for a, b in zip(src.args, tgt.args)
@@ -406,18 +398,14 @@ def check_refinement_symbolic(src: Function, tgt: Function,
         bad_ret = T.FALSE
     vc = T.and_(T.not_(s.ub), T.or_(t.ub, bad_ret))
 
-    if session is not None:
-        solver = session
-        result = session.check(vc, deadline=deadline)
-    else:
-        solver = Solver(max_conflicts)
-        solver.add(vc)
-        result = solver.check(deadline=deadline)
+    solver = Solver(max_conflicts)
+    solver.add(vc)
+    result = solver.check(deadline=deadline)
     if result == UNSAT:
         return RefinementResult("verified",
                                 inputs_checked=-1)  # all inputs, symbolically
     if result != SAT:
-        if getattr(solver.sat, "deadline_hit", False):
+        if solver.sat.deadline_hit:
             from .exhaustive import DEADLINE_REASON
 
             return RefinementResult(

@@ -15,9 +15,8 @@ machinery into a persistent service:
   engine's process-per-shard :class:`~repro.campaign.ShardExecutor`;
 * :mod:`repro.serve.service` — the transport-independent core: request
   handlers, the warm shared caches (:class:`~repro.perf.RefinementMemo`
-  disk layer as the persistent verdict store, per-config plan caches,
-  a shared SMT :class:`~repro.smt.solver.SolverSession`), per-request
-  timeouts, and the serve-side observability surface;
+  disk layer as the persistent verdict store, per-config plan caches),
+  per-request timeouts, and the serve-side observability surface;
 * :mod:`repro.serve.server` — one asyncio listener speaking both
   protocols (per-connection sniffing: an HTTP verb or a JSON frame),
   with ``/metrics`` (Prometheus text), ``/healthz``, streamed NDJSON

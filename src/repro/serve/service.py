@@ -14,9 +14,6 @@ request:
   check by construction: execution plans are keyed by ``Function``
   identity and the pipeline under test mutates the functions, so there
   is nothing sound to share across requests.)
-* the **shared SMT session pool** — :class:`~repro.smt.solver.SolverSession`
-  objects whose hash-consed circuits and learned clauses accumulate
-  across symbolic refine requests;
 * the **process pool** — an :class:`~repro.serve.pool.AsyncShardPool`
   over the campaign engine's shard executor, for campaign requests;
 * the **queueing discipline** — a :class:`~repro.serve.queueing.RequestGate`
@@ -47,7 +44,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Awaitable, Callable, Dict, List, Optional
+from typing import Any, Awaitable, Callable, Dict, Optional
 
 from ..campaign.executor import CampaignRunner
 from ..campaign.sharding import plan_shards
@@ -68,7 +65,6 @@ from ..lint.diagnostics import severity_rank
 from ..perf import RefinementMemo
 from ..refine import CheckOptions, check_refinement
 from ..refine.symbolic import check_refinement_symbolic
-from ..smt.solver import SolverSession
 from .deadline import Deadline, deadline_at, validate_timeout
 from .pool import AsyncShardPool
 from .queueing import Batcher, Draining, QueueFull, RequestGate
@@ -156,9 +152,6 @@ class ValidationService:
         #: memo context -> warm RefinementMemo (shared disk layer).
         self._memos: Dict[str, RefinementMemo] = {}
         self._memos_lock = threading.Lock()
-        #: idle SolverSessions; circuits/learned clauses accumulate.
-        self._sessions: List[SolverSession] = []
-        self._sessions_lock = threading.Lock()
         self._check_slots = asyncio.Semaphore(
             max(1, self.config.check_threads))
         #: (op, idempotency_key) -> completed done payload, LRU order.
@@ -319,16 +312,6 @@ class ValidationService:
                                       disk_dir=self.config.memo_dir)
                 self._memos[context] = memo
         return memo
-
-    def _session(self) -> SolverSession:
-        with self._sessions_lock:
-            if self._sessions:
-                return self._sessions.pop()
-        return SolverSession()
-
-    def _release_session(self, session: SolverSession) -> None:
-        with self._sessions_lock:
-            self._sessions.append(session)
 
     @staticmethod
     def _spec_from(payload: Dict[str, Any],
@@ -567,13 +550,8 @@ class ValidationService:
             src = parse_function(src_text)
             tgt = parse_function(tgt_text)
             if method == "symbolic":
-                session = self._session()
-                try:
-                    result = check_refinement_symbolic(
-                        src, tgt, session=session,
-                        deadline=deadline_at(deadline))
-                finally:
-                    self._release_session(session)
+                result = check_refinement_symbolic(
+                    src, tgt, deadline=deadline_at(deadline))
             else:
                 options = spec.check_options()
                 options.deadline = deadline_at(deadline)

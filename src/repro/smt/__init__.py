@@ -9,10 +9,9 @@ encoder emits.
 from . import terms
 from .bitblast import BitBlaster, GateBuilder
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
-from .solver import Solver, SolverSession, check_valid
+from .solver import Solver, check_valid
 
 __all__ = [
     "terms", "BitBlaster", "GateBuilder",
-    "SAT", "UNKNOWN", "UNSAT", "SatSolver", "Solver", "SolverSession",
-    "check_valid",
+    "SAT", "UNKNOWN", "UNSAT", "SatSolver", "Solver", "check_valid",
 ]

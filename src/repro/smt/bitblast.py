@@ -216,12 +216,6 @@ class BitBlaster:
         self._bool_cache: Dict[Term, int] = {}
         self._bv_cache: Dict[Term, List[int]] = {}
         self._vars: Dict[str, object] = {}
-        #: circuit-cache traffic.  Terms are globally hash-consed, so in
-        #: a long-lived blaster (see SolverSession) a hit can come from
-        #: an earlier *query* — the memoized-circuit reuse the perf
-        #: layer measures.
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # -- entry points -----------------------------------------------------------
     def assert_true(self, term: Term) -> None:
@@ -236,9 +230,7 @@ class BitBlaster:
         assert term.sort == BOOL
         cached = self._bool_cache.get(term)
         if cached is not None:
-            self.cache_hits += 1
             return cached
-        self.cache_misses += 1
         lit = self._lower_bool(term)
         self._bool_cache[term] = lit
         return lit
@@ -282,9 +274,7 @@ class BitBlaster:
     def lower_bv(self, term: Term) -> List[int]:
         cached = self._bv_cache.get(term)
         if cached is not None:
-            self.cache_hits += 1
             return cached
-        self.cache_misses += 1
         bits = self._lower_bv(term)
         assert len(bits) == term.width
         self._bv_cache[term] = bits

@@ -234,8 +234,7 @@ class SatSolver:
             self.var_inc *= 1e-100
 
     # -- main search --------------------------------------------------------------
-    def solve(self, assumptions: Iterable[int] = (),
-              max_conflicts: Optional[int] = None,
+    def solve(self, max_conflicts: Optional[int] = None,
               deadline: Optional[float] = None) -> str:
         """``deadline`` is an absolute :func:`time.monotonic` instant;
         past it the search stops with UNKNOWN (``deadline_hit`` set), so
@@ -248,7 +247,6 @@ class SatSolver:
             self.ok = False
             return UNSAT
 
-        assumptions = list(assumptions)
         restart_idx = 0
         conflicts_until_restart = 32 * _luby(restart_idx)
         total_conflicts = 0
@@ -273,8 +271,6 @@ class SatSolver:
                     self._backtrack(0)
                     return UNKNOWN
                 learned, bt_level = self._analyze(conflict)
-                # do not backtrack past the assumptions
-                bt_level = max(bt_level, self._assumption_level(assumptions))
                 if bt_level >= self.decision_level:
                     self._backtrack(max(0, self.decision_level - 1))
                 else:
@@ -296,33 +292,13 @@ class SatSolver:
                 if conflicts_until_restart <= 0:
                     restart_idx += 1
                     conflicts_until_restart = 32 * _luby(restart_idx)
-                    self._backtrack(self._assumption_level(assumptions))
-                continue
-
-            # place assumptions first
-            placed = self._place_assumptions(assumptions)
-            if placed == "conflict":
-                return UNSAT
-            if placed == "decided":
+                    self._backtrack(0)
                 continue
 
             lit = self._pick_branch()
             if lit is None:
                 return SAT
             self._decide(lit)
-
-    def _assumption_level(self, assumptions: List[int]) -> int:
-        return min(len(assumptions), self.decision_level)
-
-    def _place_assumptions(self, assumptions: List[int]):
-        for i, a in enumerate(assumptions):
-            value = self.value_of(a)
-            if value is False:
-                return "conflict"
-            if value is None:
-                self._decide(a)
-                return "decided"
-        return "done"
 
     def _order_watches(self, clause: Clause) -> None:
         """Put the asserting literal first and a highest-level literal

@@ -1,23 +1,13 @@
-"""Solver facades: one-shot :class:`Solver` and the incremental
-:class:`SolverSession` that shares circuits and learned clauses across a
-sequence of queries."""
+"""Solver facade: one-shot :class:`Solver` over a fresh SAT instance
+per query."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..diag import Statistic, span
 from .bitblast import BitBlaster
-from .sat import SAT, UNKNOWN, UNSAT, SatSolver
-from .terms import BOOL, Term, bv_var
-
-NUM_SESSION_QUERIES = Statistic(
-    "smt", "num-session-queries",
-    "Queries answered by incremental solver sessions")
-NUM_CIRCUITS_REUSED = Statistic(
-    "smt", "num-circuits-reused",
-    "Bit-blasted circuits reused from the per-term cache across a "
-    "session's queries")
+from .sat import SAT, UNSAT, SatSolver
+from .terms import BOOL, Term
 
 
 class Solver:
@@ -52,98 +42,6 @@ class Solver:
         if term.op == "var" and term not in self.blaster._bv_cache:
             return 0  # never constrained
         return self.blaster.model_bv(term)
-
-
-class SolverSession:
-    """Incremental satisfiability over one persistent solver.
-
-    Shares two artifacts across a sequence of :meth:`check` queries:
-
-    * **circuits** — terms are globally hash-consed
-      (:mod:`repro.smt.terms`), and the session's :class:`BitBlaster`
-      caches per-Term lowerings, so a subterm that two queries share is
-      bit-blasted once;
-    * **learned clauses** — each query's formula is asserted behind a
-      fresh *activation literal* ``g`` (the clause ``¬g ∨ formula``) and
-      solved under the assumption ``g``.  Tseitin definitions and gated
-      assertions keep the shared clause database satisfiable, so every
-      clause the CDCL solver learns is implied by the definitions alone
-      and remains sound for all later queries.
-
-    Soundness caveats encoded here rather than left to callers: the
-    trail is rewound to decision level 0 before every query (a SAT
-    answer leaves decisions on the trail), models are snapshotted
-    before the next rewind, and an UNKNOWN answer (conflict budget)
-    poisons nothing — the next query starts clean.
-    """
-
-    def __init__(self, max_conflicts: Optional[int] = 200_000):
-        self.sat = SatSolver()
-        self.blaster = BitBlaster(self.sat)
-        self.max_conflicts = max_conflicts
-        self.queries = 0
-        self._model: Optional[List[Optional[bool]]] = None
-        self._result: Optional[str] = None
-
-    def check(self, term: Term,
-              deadline: Optional[float] = None) -> str:
-        """Satisfiability of ``term`` (alone, not conjoined with prior
-        queries), reusing everything learned so far.
-
-        ``deadline`` (absolute :func:`time.monotonic`) bounds this one
-        query: past it the solver answers UNKNOWN, which — like a
-        conflict-budget UNKNOWN — poisons nothing for later queries."""
-        assert term.sort == BOOL
-        self.queries += 1
-        NUM_SESSION_QUERIES.inc()
-        with span("smt-query", cat="smt") as sp:
-            self._model = None
-            hits_before = self.blaster.cache_hits
-            if self.sat.trail_lim:
-                self.sat._backtrack(0)
-            lit = self.blaster.lower_bool(term)
-            reused = self.blaster.cache_hits - hits_before
-            NUM_CIRCUITS_REUSED.inc(reused)
-            gate = self.sat.new_var()
-            if not self.sat.add_clause([-gate, lit]):
-                self._result = UNSAT
-                sp.set(result=UNSAT, query=self.queries)
-                return UNSAT
-            result = self.sat.solve(assumptions=[gate],
-                                    max_conflicts=self.max_conflicts,
-                                    deadline=deadline)
-            if result == SAT:
-                # Snapshot before the next query rewinds the trail.
-                self._model = list(self.sat.assignment)
-            self._result = result
-            sp.set(result=result, query=self.queries,
-                   circuits_reused=reused)
-            return result
-
-    # -- model access (valid after a SAT result, until the next check) --
-    def model_bool(self, term: Term) -> bool:
-        assert self._result == SAT and self._model is not None
-        lit = self.blaster._bool_cache.get(term)
-        if lit is None:
-            return False  # never constrained
-        return self._model_lit(lit)
-
-    def model_bv(self, term: Term) -> int:
-        assert self._result == SAT and self._model is not None
-        bits = self.blaster._bv_cache.get(term)
-        if bits is None:
-            return 0  # never constrained
-        value = 0
-        for i, lit in enumerate(bits):
-            if self._model_lit(lit):
-                value |= 1 << i
-        return value
-
-    def _model_lit(self, lit: int) -> bool:
-        value = self._model[abs(lit)]
-        if value is None:
-            value = False  # unconstrained: any value works
-        return value if lit > 0 else not value
 
 
 def check_valid(term: Term,

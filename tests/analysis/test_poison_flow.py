@@ -21,7 +21,7 @@ from repro.analysis.poison_flow import (
     taint_sources,
 )
 from repro.analysis.value_tracking import is_guaranteed_not_poison
-from repro.campaign.lint_audit import AuditOptions, audit_function
+from repro.campaign.lint_audit import audit_function
 from repro.fuzz.optfuzz import enumeration_size, function_at_index
 from repro.ir import Opcode, parse_function
 from repro.semantics import NEW, OLD
@@ -261,8 +261,7 @@ _SPACE = enumeration_size(2, width=2, opcodes=_OPS, include_flags=True)
 def test_claims_sound_against_interpreter(index):
     fn = function_at_index(index, 2, width=2, opcodes=_OPS,
                            include_flags=True)
-    contradictions, tally = audit_function(fn, NEW, AuditOptions(),
-                                           index=index)
+    contradictions, tally = audit_function(fn, NEW, index=index)
     assert contradictions == [], (
         f"analyzer soundness bug on corpus index {index}: "
         f"{contradictions[0].as_dict()}")
@@ -274,6 +273,5 @@ def test_claims_sound_against_interpreter(index):
 def test_claims_sound_under_old_semantics(index):
     fn = function_at_index(index, 2, width=2, opcodes=_OPS,
                            include_flags=True)
-    contradictions, _ = audit_function(fn, OLD, AuditOptions(),
-                                       index=index)
+    contradictions, _ = audit_function(fn, OLD, index=index)
     assert contradictions == []

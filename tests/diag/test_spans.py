@@ -154,8 +154,8 @@ class TestStatsDelta:
     def test_flat_delta_reports_only_increments(self):
         before = {"refine/num-checks": 2, "perf/num-memo-hits": 1}
         after = {"refine/num-checks": 5, "perf/num-memo-hits": 1,
-                 "smt/num-session-queries": 4}
+                 "interp/num-plans-compiled": 4}
         assert flat_delta(before, after) == {
             "refine/num-checks": 3,
-            "smt/num-session-queries": 4,
+            "interp/num-plans-compiled": 4,
         }

@@ -13,9 +13,20 @@
    exceeding the cap silently fell through to a *definite* verdict.
    The overflow is now an explicit inconclusive verdict, counted in the
    ``refine`` stats and surfaced as a missed-optimization remark.
+
+Plus one determinism bug: the first uncovered target behavior decides
+the verdict and is the witness, and it was picked in set order, which
+follows ``PYTHONHASHSEED`` and object addresses.  Target behaviors are
+now visited in a fixed order.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.diag import REMARK_MISSED, default_emitter
 from repro.refine import CheckOptions, check_refinement
@@ -159,3 +170,56 @@ entry:
             src, tgt, OLD, options=CheckOptions(undef_expansion_cap=2))
         assert capped.verdict == "inconclusive"
         assert "concretizations" in capped.reason
+
+
+#: a legacy check whose target has three behaviors on the failing input,
+#: none of which the source allows (one returns undef, one poison)
+WITNESS_CHECK = '''
+from repro.ir import parse_module
+from repro.refine import check_refinement
+from repro.semantics import OLD
+
+src = parse_module("""
+declare void @e0(i2)
+define i2 @f(i2 %a) {
+entry:
+  call void @e0(i2 %a)
+  ret i2 %a
+}""").get_function("f")
+tgt = parse_module("""
+declare void @e1(i2)
+declare void @e2(i2)
+declare void @e3(i2)
+define i2 @f(i2 %a) {
+entry:
+  switch i2 undef, label %x [i2 1, label %y
+                             i2 2, label %z]
+x:
+  call void @e1(i2 %a)
+  ret i2 undef
+y:
+  call void @e2(i2 %a)
+  ret i2 poison
+z:
+  call void @e3(i2 %a)
+  ret i2 1
+}""").get_function("f")
+result = check_refinement(src, tgt, OLD)
+print(result.verdict)
+print(result.counterexample)
+'''
+
+
+class TestWitnessOrder:
+    def test_counterexample_is_the_same_in_every_process(self):
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        runs = [subprocess.Popen(
+            [sys.executable, "-c", WITNESS_CHECK], stdout=subprocess.PIPE,
+            text=True, env=dict(os.environ, PYTHONPATH=src_dir,
+                                PYTHONHASHSEED=str(seed)))
+            for seed in (1, 2, 3, 4)]
+        outputs = [run.communicate(timeout=120)[0] for run in runs]
+        assert all(run.returncode == 0 for run in runs)
+        assert outputs[0].startswith("failed\n")
+        assert "target can produce" in outputs[0]
+        assert outputs == [outputs[0]] * len(outputs)

@@ -213,7 +213,7 @@ class TestRefine:
 
         serve(scenario)
 
-    def test_pair_symbolic_session_reuse(self):
+    def test_pair_symbolic(self):
         async def scenario(service):
             _, first = await call(service, "refine",
                                   {"source": SRC, "target": SRC,
@@ -222,8 +222,6 @@ class TestRefine:
                                    {"source": SRC, "target": SRC,
                                     "method": "symbolic"})
             assert first["verdict"] == second["verdict"] == "verified"
-            # the session went back to the pool and was reused
-            assert len(service._sessions) == 1
 
         serve(scenario)
 
