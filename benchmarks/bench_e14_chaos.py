@@ -15,6 +15,8 @@ trajectory:
   over the damaged store must quarantine the bad record while serving
   the rest of the corpus warm.
 
+The record is stamped with the git sha, mode and core count.
+
 Gates (exit nonzero): any failed request during the storm, verdict
 lines differing anywhere from the fault-free baseline, zero supervisor
 restarts (the kills never landed or were never healed), fsck missing
@@ -36,6 +38,7 @@ import tempfile
 import threading
 import time
 
+from provenance import stamp
 from repro.fuzz import random_functions
 from repro.ir import print_module
 from repro.opt.resilience import ServiceChaos
@@ -250,7 +253,7 @@ def main(argv=None) -> int:
 
     report = {
         "experiment": "E14",
-        "quick": args.quick,
+        **stamp(args.quick),
         "server": {"workers": 2, "check_threads": 2, "high_water": 64},
         "workload": {"campaign": spec_dict,
                      "refine_corpus": len(sources),

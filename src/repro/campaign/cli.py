@@ -315,7 +315,7 @@ def _finish_trace(args: argparse.Namespace) -> None:
     pids = len({e.get("pid") for e in trace["traceEvents"]})
     # under --json stdout is the machine-readable summary; keep it pure
     sink = sys.stderr if getattr(args, "json", False) else sys.stdout
-    print(f"trace: {events} span(s) from {pids} worker(s) merged into "
+    print(f"trace: {events} span(s) from {pids} shard(s) merged into "
           f"{trace_path} (Perfetto-loadable; see `repro diag top "
           f"--trace {trace_path}`)", file=sink)
 

@@ -4,8 +4,9 @@
 
 * **workers = 1** (default) runs shards in-process — no serialization
   overhead, ideal for tests and benchmarks;
-* **workers > 1** runs each shard in its own child process (fork where
-  available), up to ``workers`` at a time, with optional per-shard wall
+* **workers > 1** runs shards on a pool of at most ``workers``
+  long-lived child processes (fork where available), each forked once
+  and fed shard after shard over its pipe, with optional per-shard wall
   timeouts.  A worker that dies without reporting (segfault analog,
   ``os._exit``, OOM-kill) is *accounted*, not lost: the shard's record
   says ``errored`` with the exit code, the campaign completes, and a
@@ -23,7 +24,9 @@ optimization remark.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
+import stat
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,7 +48,7 @@ from .checkpoint import CheckpointStore, save_manifest
 from .sharding import Shard, plan_shards
 from .spec import CampaignSpec
 from .supervisor import SupervisorPolicy, WorkerSupervisor
-from .worker import run_shard
+from .worker import memo_scope, run_shard
 
 #: subdirectory of a campaign's out_dir holding crash bundles.
 CRASHES_DIR = "crashes"
@@ -76,6 +79,12 @@ NUM_PASS_CRASHES = Statistic(
 NUM_TIMEOUTS = Statistic(
     "campaign", "num-timeout-verdicts",
     "Functions whose refinement check exhausted its fuel budget")
+NUM_WORKERS_STARTED = Statistic(
+    "campaign", "num-worker-processes-started",
+    "Shard worker processes forked by the executor pool")
+
+#: seconds a stopped worker gets to exit before it is killed.
+_STOP_GRACE = 5.0
 
 
 @dataclass
@@ -166,29 +175,82 @@ def _resolve_work(kind: str):
     return CampaignSpec.from_dict, run_shard
 
 
-def _shard_entry(conn, work: str, spec_dict: dict, shard_dict: dict,
-                 known_hashes: Dict[str, str]) -> None:
-    """Child-process entry: run one shard, report through the pipe."""
+def _worker_main(conn, work: str) -> None:
+    """Child-process entry: run ``(spec, shard, known)`` jobs from the
+    pipe, one record back per job, until a ``None`` job or EOF.
+
+    One :func:`memo_scope` spans the worker's life: its memo loads the
+    disk layer once and then only refreshes."""
+    _drop_inherited_sockets(keep=conn.fileno())
+    with memo_scope():
+        while True:
+            try:
+                job = conn.recv()
+            except (EOFError, KeyboardInterrupt):
+                break
+            if job is None:
+                break
+            record, fatal = _run_job(work, *job)
+            conn.send(record)
+            if fatal:
+                break  # interrupted: report, then stop serving
+    conn.close()
+
+
+def _drop_inherited_sockets(keep: int) -> None:
+    """Point every socket descriptor a fork copied into this worker,
+    except ``keep``, at ``/dev/null``.
+
+    A worker outlives many shards, so its copies of the coordinator's
+    sockets would outlive them too: a server's listener and client
+    connections would stay open after the server closes them, and the
+    coordinator's end of each worker pipe would never read EOF when the
+    coordinator dies, leaving orphans waiting forever.  ``dup2`` rather
+    than ``close`` keeps the descriptor numbers taken, so a stale object
+    that closes its descriptor later cannot close a file opened since.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/dev/fd")]
+    except OSError:
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd <= 2 or fd in (keep, devnull):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                continue  # e.g. the descriptor listdir itself used
+    finally:
+        os.close(devnull)
+
+
+def _run_job(work: str, spec_dict: dict, shard_dict: dict,
+             known_hashes: Dict[str, str]) -> tuple:
+    """Run one shard in a worker; returns ``(record, fatal)``, where
+    ``fatal`` says the job was interrupted by something other than an
+    :class:`Exception` and the worker should not take another."""
     shard = Shard.from_dict(shard_dict)
     spec_from_dict, run_fn = _resolve_work(work)
-    # Black box for this worker: if the shard dies catastrophically
+    # Black box for this job: if the shard dies catastrophically
     # (outside the worker's own per-function handling), its last
     # recorded moments still reach the errored-shard record.
     recorder = FlightRecorder()
     set_recorder(recorder)
     recorder.install()
+    fatal = False
     try:
         record = run_fn(spec_from_dict(spec_dict), shard, known_hashes)
     except BaseException as e:  # report instead of dying silently
+        fatal = not isinstance(e, Exception)
         record = _errored_record(shard, repr(e))
         record["flight_recorder"] = recorder.dump()
     finally:
         recorder.uninstall()
         set_recorder(None)
-    try:
-        conn.send(record)
-    finally:
-        conn.close()
+    return record, fatal
 
 
 def _errored_record(shard: Shard, reason: str) -> dict:
@@ -200,12 +262,12 @@ def _errored_record(shard: Shard, reason: str) -> dict:
 
 
 def merge_worker_stats(record: dict) -> None:
-    """Fold a child process's stats delta into this process's registry:
-    the worker's own `StatsRegistry` died with it, and without this
-    merge every refine/memo/pass counter a parallel campaign produced
-    would reduce to zero at the coordinator.  Only subprocess records
-    merge (in-process shards bump the shared registry directly; merging
-    both would double-count)."""
+    """Fold a child process's per-shard stats delta into this process's
+    registry: the worker's own `StatsRegistry` is private to it, and
+    without this merge every refine/memo/pass counter a parallel
+    campaign produced would reduce to zero at the coordinator.  Only
+    subprocess records merge (in-process shards bump the shared registry
+    directly; merging both would double-count)."""
     registry = default_registry()
     for pass_name, counters in (record.get("stats") or {}).items():
         for name, value in counters.items():
@@ -213,7 +275,8 @@ def merge_worker_stats(record: dict) -> None:
 
 
 class ShardExecutor:
-    """A reusable process-per-shard pool: submit shards, poll results.
+    """A reusable pool of persistent shard workers: submit shards, poll
+    results.
 
     This is the submission API under both batch campaigns
     (:class:`CampaignRunner`) and the long-running service front-end
@@ -221,18 +284,26 @@ class ShardExecutor:
     ``(spec, shard)`` jobs and :meth:`poll` completions as they land,
     instead of handing over control until a whole campaign finishes.
 
+    At most ``workers`` child processes exist at a time.  Each is forked
+    on demand, then loops: receive a job over its pipe, run it, send the
+    record back, wait for the next.  :meth:`poll` waits on every busy
+    worker's pipe and process sentinel at once, so it wakes on the first
+    completion and hands that worker the next queued job straight away.
+
     Crash semantics extend the batch path with *supervision*: a worker
     that dies without reporting, exceeds ``shard_timeout``, or outlives
-    its per-job deadline is detected here, and a
+    its per-job deadline is detected here and discarded, and a
     :class:`~repro.campaign.supervisor.WorkerSupervisor` decides between
-    a jittered-backoff restart (the job silently re-enqueues; callers
-    just see a longer-running job) and final delivery of an ``errored``
-    record — after the restart budget, with ``quarantined: True`` and
-    the full attempt history (the poison-pill lane).  Either way a job
-    always terminates in exactly one record — never lost, never hung —
-    and each subprocess record's stats delta is merged into this
-    process's registry.  ``supervisor=None`` disables retries (one
-    attempt per job, the pre-supervision behavior).
+    a jittered-backoff restart (the job silently re-enqueues and runs in
+    a newly forked worker, never a surviving one; callers just see a
+    longer-running job) and final delivery of an ``errored`` record —
+    after the restart budget, with ``quarantined: True`` and the full
+    attempt history (the poison-pill lane).  Either way a job always
+    terminates in exactly one record — never lost, never hung — and
+    each subprocess record's stats delta is merged into this process's
+    registry.  ``supervisor=None`` disables retries (one attempt per
+    job, the pre-supervision behavior).  :meth:`shutdown` reaps every
+    worker, idle or busy.
     """
 
     def __init__(self, workers: int = 1,
@@ -253,10 +324,14 @@ class ShardExecutor:
             "fork" if "fork" in methods else "spawn")
         #: (job_id, spec_dict, shard, known, not_before, deadline)
         self._queue: deque = deque()
-        #: job_id -> (proc, conn, t0, shard, deadline)
+        #: job_id -> (proc, conn, t0, shard, deadline) of busy workers
         self._running: Dict[int, tuple] = {}
+        #: (proc, conn) of live workers waiting for a job.
+        self._idle: List[tuple] = []
         #: job_id -> its submit-time queue entry (for restarts).
         self._job_inputs: Dict[int, tuple] = {}
+        #: restarted jobs, whose next attempt needs a newly forked worker.
+        self._restarted: set = set()
         self._next_job = 0
 
     # -- introspection -----------------------------------------------------
@@ -297,65 +372,107 @@ class ShardExecutor:
     def _start_pending(self) -> None:
         """Start queued jobs whose backoff delay has elapsed."""
         delayed = []
+        now = time.monotonic()
         while self._queue and len(self._running) < self.workers:
             entry = self._queue.popleft()
-            job_id, spec_dict, shard, known, not_before, deadline = entry
-            if not_before > time.monotonic():
+            if entry[4] > now:
                 delayed.append(entry)
                 continue
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-            proc = self._ctx.Process(
-                target=_shard_entry,
-                args=(child_conn, self.work, spec_dict,
-                      shard.as_dict(), known),
-            )
-            proc.start()
-            child_conn.close()
-            self._running[job_id] = (proc, parent_conn,
-                                     time.monotonic(), shard, deadline)
+            self._dispatch(entry)
         self._queue.extendleft(reversed(delayed))
 
-    def _requeue(self, job_id: int, shard: Shard, known_entry: tuple,
-                 not_before: float) -> None:
-        _, spec_dict, _, known, _, deadline = known_entry
-        self._queue.append((job_id, spec_dict, shard, known,
-                            not_before, deadline))
+    def _dispatch(self, entry: tuple) -> None:
+        """Send one job to an idle worker, or to a newly forked one."""
+        job_id, spec_dict, shard, known, _, deadline = entry
+        fresh = job_id in self._restarted
+        self._restarted.discard(job_id)
+        while True:
+            if self._idle and not fresh:
+                proc, conn = self._idle.pop()
+            else:
+                if self._idle:
+                    # A restart must not inherit a survivor's state:
+                    # retire an idle worker to make room for a fork.
+                    self._stop(*self._idle.pop(0))
+                proc, conn = self._spawn()
+            try:
+                conn.send((spec_dict, shard.as_dict(), known))
+                break
+            except OSError:
+                # The worker died while idle; the job never started.
+                self._discard(proc, conn)
+        self._running[job_id] = (proc, conn, time.monotonic(), shard,
+                                 deadline)
+
+    def _spawn(self) -> tuple:
+        parent_conn, child_conn = self._ctx.Pipe()
+        proc = self._ctx.Process(target=_worker_main,
+                                 args=(child_conn, self.work), daemon=True)
+        proc.start()
+        child_conn.close()
+        NUM_WORKERS_STARTED.inc()
+        return proc, parent_conn
+
+    def _stop(self, proc, conn) -> None:
+        """Ask a worker to exit after its current job, then reap it."""
+        try:
+            conn.send(None)
+        except OSError:
+            pass
+        conn.close()
+        proc.join(_STOP_GRACE)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+
+    @staticmethod
+    def _discard(proc, conn) -> None:
+        """Kill (if still alive) and reap a worker that failed a job."""
+        if proc.is_alive():
+            proc.kill()
+        proc.join()
+        conn.close()
 
     # -- completion --------------------------------------------------------
     def poll(self, wait: float = 0.01) -> List[tuple]:
         """Reap finished jobs; returns ``[(job_id, shard, record), ...]``.
 
-        Blocks at most ``wait`` seconds per still-running child.  Dead,
-        timed-out, and deadline-overrun workers either restart (per the
-        supervisor) or convert to ``errored`` records here, with their
-        stats deltas merged into the coordinator registry."""
+        Blocks at most ``wait`` seconds, returning as soon as any worker
+        reports or dies (or a deadline, timeout or backoff comes due).
+        Dead, timed-out, and deadline-overrun workers are discarded and
+        their jobs either restart (per the supervisor) or convert to
+        ``errored`` records here, with stats deltas merged into the
+        coordinator registry."""
+        ready = self._wait(wait)
         done: List[tuple] = []
+        now = time.monotonic()
         for job_id in list(self._running):
             proc, conn, started, shard, deadline = self._running[job_id]
             record = None
             failure = None
             retryable = True
-            if conn.poll(wait):
-                try:
-                    record = conn.recv()
-                except EOFError:
-                    record = None
-                proc.join()
-                if record is None:
-                    failure = (f"worker died mid-report "
+            if conn in ready or proc.sentinel in ready:
+                if proc.sentinel in ready:
+                    # An exiting process closes its descriptors one by
+                    # one: reap it, so its end of the pipe is closed too
+                    # and a missing record reads as EOF.
+                    proc.join()
+                if conn.poll():
+                    try:
+                        record = conn.recv()
+                    except (EOFError, OSError):
+                        record = None
+                    if record is None:
+                        proc.join()
+                        failure = (f"worker died mid-report "
+                                   f"(exit code {proc.exitcode})")
+                else:
+                    failure = (f"worker crashed without reporting "
                                f"(exit code {proc.exitcode})")
-            elif not proc.is_alive():
-                proc.join()
-                failure = (f"worker crashed without reporting "
-                           f"(exit code {proc.exitcode})")
-            elif deadline is not None and time.monotonic() >= deadline:
-                proc.terminate()
-                proc.join()
+            elif deadline is not None and now >= deadline:
                 failure = "job exceeded its request deadline"
             elif (self.shard_timeout is not None
-                  and time.monotonic() - started > self.shard_timeout):
-                proc.terminate()
-                proc.join()
+                  and now - started > self.shard_timeout):
                 failure = (f"shard exceeded its {self.shard_timeout}s "
                            f"timeout")
                 # Re-running the same pure shard against the same wall
@@ -363,9 +480,11 @@ class ShardExecutor:
                 retryable = False
             else:
                 continue
-            conn.close()
             del self._running[job_id]
-            if failure is not None:
+            if failure is None:
+                self._idle.append((proc, conn))
+            else:
+                self._discard(proc, conn)
                 record = self._handle_failure(job_id, shard, failure,
                                               deadline, retryable)
                 if record is None:
@@ -383,9 +502,37 @@ class ShardExecutor:
             self._job_inputs.pop(job_id, None)
             merge_worker_stats(record)
             done.append((job_id, shard, record))
-        self._sleep_if_backing_off(wait)
+        for proc, conn in list(self._idle):
+            if proc.sentinel in ready:  # an idle worker died: drop it
+                self._idle.remove((proc, conn))
+                self._discard(proc, conn)
         self._start_pending()
         return done
+
+    def _wait(self, wait: float) -> set:
+        """Block until a worker pipe or sentinel is ready, or until the
+        earliest of ``wait``, a running job's deadline or timeout, and a
+        backed-off restart's start time."""
+        now = time.monotonic()
+        until = now + wait
+        for _, _, started, _, deadline in self._running.values():
+            if deadline is not None:
+                until = min(until, deadline)
+            if self.shard_timeout is not None:
+                until = min(until, started + self.shard_timeout)
+        if self._queue and len(self._running) < self.workers:
+            until = min(until, min(entry[4] for entry in self._queue))
+        timeout = max(0.0, until - now)
+        if not self._running:
+            # Nothing can complete; only backed-off restarts are worth
+            # sleeping for (idle worker deaths are reaped on dispatch).
+            if self._queue and timeout > 0:
+                time.sleep(timeout)
+            return set()
+        handles = [proc.sentinel for proc, _ in self._idle]
+        for proc, conn, _, _, _ in self._running.values():
+            handles += [conn, proc.sentinel]
+        return set(multiprocessing.connection.wait(handles, timeout))
 
     def _handle_failure(self, job_id: int, shard: Shard, reason: str,
                         deadline: Optional[float],
@@ -401,9 +548,11 @@ class ShardExecutor:
             # Re-enqueue under the same job id: callers' futures stay
             # pending across the restart, and a successful retry's
             # record is byte-identical (run_shard is a pure function of
-            # the re-used (spec, shard, known) inputs).
+            # the re-used (spec, shard, known) inputs).  The retry runs
+            # in a newly forked worker, as the failed attempt's did.
             self._queue.append(entry[:4] + (decision.not_before,
                                             entry[5]))
+            self._restarted.add(job_id)
             return None
         history = self.supervisor.history_for(job_id)
         record = _errored_record(shard, decision.reason)
@@ -413,31 +562,29 @@ class ShardExecutor:
             record["quarantined"] = True
         return record
 
-    def _sleep_if_backing_off(self, wait: float) -> None:
-        """Avoid a hot poll loop when only backed-off retries remain."""
-        if self._running or not self._queue:
-            return
-        soonest = min(entry[4] for entry in self._queue)
-        delay = min(wait, max(0.0, soonest - time.monotonic()))
-        if delay > 0:
-            time.sleep(delay)
-
-    def drain(self, wait: float = 0.01):
+    def drain(self, wait: float = 0.05):
         """Yield ``(job_id, shard, record)`` until every job completes."""
         while not self.idle:
             for item in self.poll(wait):
                 yield item
 
     def shutdown(self, kill: bool = False) -> None:
-        """Drop queued jobs; with ``kill`` also terminate running ones."""
+        """Drop queued jobs and reap every worker process, idle or busy.
+
+        Busy workers are killed with ``kill``; without it each gets
+        ``_STOP_GRACE`` seconds to finish its current job (whose record
+        is dropped)."""
         self._queue.clear()
-        if kill:
-            for proc, conn, _, _, _ in self._running.values():
-                proc.terminate()
-                proc.join()
-                conn.close()
-            self._running.clear()
-            self._job_inputs.clear()
+        self._restarted.clear()
+        for proc, conn, _, _, _ in self._running.values():
+            if kill:
+                self._discard(proc, conn)
+            else:
+                self._stop(proc, conn)
+        self._running.clear()
+        self._job_inputs.clear()
+        while self._idle:
+            self._stop(*self._idle.pop())
 
 
 class CampaignRunner:
@@ -547,29 +694,35 @@ class CampaignRunner:
     # -- execution strategies ---------------------------------------------
     def _run_inprocess(self, pending: List[Shard], known: Dict[str, str],
                        finalize) -> None:
-        for shard in pending:
-            recorder = FlightRecorder()
-            old_recorder = set_recorder(recorder)
-            recorder.install()
-            try:
-                record = run_shard(self.spec, shard, known)
-            except Exception as e:
-                record = _errored_record(shard, repr(e))
-                record["flight_recorder"] = recorder.dump()
-            finally:
-                recorder.uninstall()
-                set_recorder(old_recorder)
-            finalize(shard, record)
+        # One memo scope per run: shards after the first refresh the
+        # memo instead of re-reading the whole disk layer.
+        with memo_scope():
+            for shard in pending:
+                recorder = FlightRecorder()
+                old_recorder = set_recorder(recorder)
+                recorder.install()
+                try:
+                    record = run_shard(self.spec, shard, known)
+                except Exception as e:
+                    record = _errored_record(shard, repr(e))
+                    record["flight_recorder"] = recorder.dump()
+                finally:
+                    recorder.uninstall()
+                    set_recorder(old_recorder)
+                finalize(shard, record)
 
     def _run_subprocess(self, pending: List[Shard], known: Dict[str, str],
                         finalize) -> None:
         executor = ShardExecutor(
             workers=self.workers, shard_timeout=self.shard_timeout,
             supervisor=WorkerSupervisor(self.supervisor_policy))
-        for shard in pending:
-            executor.submit(self.spec, shard, known)
-        for _job_id, shard, record in executor.drain():
-            finalize(shard, record)
+        try:
+            for shard in pending:
+                executor.submit(self.spec, shard, known)
+            for _job_id, shard, record in executor.drain():
+                finalize(shard, record)
+        finally:
+            executor.shutdown(kill=True)
 
     # -- aggregation -------------------------------------------------------
     def _summarize(self, records: Dict[int, dict], shards: List[Shard],

@@ -470,10 +470,13 @@ class AttackRunner:
             workers=self.workers, shard_timeout=self.shard_timeout,
             supervisor=WorkerSupervisor(self.supervisor_policy),
             work=MANIFEST_KIND)
-        for shard in pending:
-            executor.submit(self.spec, shard)
-        for _job_id, shard, record in executor.drain():
-            finalize(shard, record)
+        try:
+            for shard in pending:
+                executor.submit(self.spec, shard)
+            for _job_id, shard, record in executor.drain():
+                finalize(shard, record)
+        finally:
+            executor.shutdown(kill=True)
 
     def _persist_bundles(self, record: dict) -> None:
         payloads = record.get("bundles") or []

@@ -1,11 +1,11 @@
 """The per-shard work function: generate → dedup → optimize → check.
 
 :func:`run_shard` is the unit the executor schedules, in-process or in a
-child process.  It is deliberately self-contained and deterministic: its
-result is a pure function of ``(spec, shard, known_hashes)``, so a shard
-produces the same record whether it runs first on one worker or last on
-eight — the property behind the engine's worker-count-independent
-verdict sets.
+persistent worker process.  It is deliberately self-contained and
+deterministic: its result is a pure function of ``(spec, shard,
+known_hashes)``, so a shard produces the same record whether it runs
+first on one worker or last on eight — the property behind the engine's
+worker-count-independent verdict sets.
 
 The returned record is the JSONL checkpoint schema: shard id, status,
 verdict counts, newly discovered ``hash → verdict`` pairs, full
@@ -33,7 +33,9 @@ from __future__ import annotations
 import os
 import time
 import traceback as traceback_module
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..diag import (
     FlightRecorder,
@@ -68,6 +70,49 @@ CRASH_ENV = "REPRO_CAMPAIGN_CRASH_SHARDS"
 #: Test hook: comma-separated shard ids that should hang (never report),
 #: exercising the executor's shard-timeout accounting.
 HANG_ENV = "REPRO_CAMPAIGN_HANG_SHARDS"
+
+
+class MemoScope:
+    """The :class:`RefinementMemo` instances of one owner — a persistent
+    worker process, or one in-process :meth:`CampaignRunner.run` call —
+    keyed by ``(memo context, cache_dir)``.
+
+    A memo loads the disk layer once, for the first shard that asks for
+    it; each later shard gets the same memo after an incremental
+    :meth:`RefinementMemo.refresh`, which reads only what other
+    processes appended since.  A hit replays exactly the verdict a
+    fresh check computes, so sharing a memo across shards changes no
+    record's verdicts."""
+
+    def __init__(self):
+        self._memos: Dict[Tuple[str, Optional[str]], RefinementMemo] = {}
+
+    def memo_for(self, spec: CampaignSpec) -> RefinementMemo:
+        key = (spec.memo_context(), spec.cache_dir)
+        memo = self._memos.get(key)
+        if memo is None:
+            memo = self._memos[key] = RefinementMemo(
+                key[0], disk_dir=key[1])
+        else:
+            memo.refresh()
+        return memo
+
+
+#: the memo scope shards of this context run in; None outside any
+#: scope, where each shard builds (and loads) a fresh memo.
+_MEMO_SCOPE: ContextVar[Optional[MemoScope]] = ContextVar(
+    "memo_scope", default=None)
+
+
+@contextmanager
+def memo_scope() -> Iterator[MemoScope]:
+    """Share one :class:`MemoScope` among the shards run inside."""
+    scope = MemoScope()
+    token = _MEMO_SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _MEMO_SCOPE.reset(token)
 
 
 def _maybe_crash(shard_id: int) -> None:
@@ -307,7 +352,8 @@ def _run_shard_body(spec: CampaignSpec, shard: Shard,
     # The perf-layer memo replays verdicts for canonical hashes decided
     # by earlier shards/runs of the same context ("failed" is never
     # memoized, so counterexample records always regenerate).
-    memo = (RefinementMemo(spec.memo_context(), disk_dir=spec.cache_dir)
+    # Outside any memo scope, a throwaway one builds a fresh memo.
+    memo = ((_MEMO_SCOPE.get() or MemoScope()).memo_for(spec)
             if spec.memo_enabled() else None)
     options = spec.check_options()
     semantics = spec.semantics()

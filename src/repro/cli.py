@@ -598,7 +598,7 @@ def _diag_main(argv: List[str]) -> int:
         events = sum(1 for e in trace["traceEvents"]
                      if e.get("ph") == "X")
         pids = len({e.get("pid") for e in trace["traceEvents"]})
-        print(f"trace: {events} span(s) from {pids} worker(s) merged "
+        print(f"trace: {events} span(s) from {pids} shard(s) merged "
               f"into {out}")
         return 0
 

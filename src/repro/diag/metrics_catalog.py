@@ -36,6 +36,7 @@ STAT_CATALOG: Set[Tuple[str, str]] = {
     ("campaign", "num-shards-errored"),
     ("campaign", "num-shards-skipped"),
     ("campaign", "num-timeout-verdicts"),
+    ("campaign", "num-worker-processes-started"),
     # chaos / fault injection
     ("chaos", "num-corrupt-faults"),
     ("chaos", "num-faults-injected"),

@@ -221,10 +221,17 @@ class RefinementMemo:
                 os.makedirs(self.disk_dir, exist_ok=True)
                 path = os.path.join(self.disk_dir,
                                     f"memo-{os.getpid()}.jsonl")
+                blob = b"".join(
+                    _encode_record(self.context, key, verdict)
+                    for key, verdict in fresh)
                 with open(path, "ab") as fh:
-                    fh.write(b"".join(
-                        _encode_record(self.context, key, verdict)
-                        for key, verdict in fresh))
+                    start = fh.tell()
+                    fh.write(blob)
+                with self._lock:
+                    if self._offsets.get(path, 0) == start:
+                        # Our own append, already in the table: the next
+                        # refresh need not parse it back.
+                        self._offsets[path] = start + len(blob)
                 sp.set(entries=len(fresh))
         except OSError as e:
             MEMO_DISK_ERRORS.inc()

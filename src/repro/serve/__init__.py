@@ -12,7 +12,7 @@ machinery into a persistent service:
   micro-batcher that groups small refine requests into campaign-style
   shards;
 * :mod:`repro.serve.pool` — the asyncio adapter over the campaign
-  engine's process-per-shard :class:`~repro.campaign.ShardExecutor`;
+  engine's persistent worker pool, :class:`~repro.campaign.ShardExecutor`;
 * :mod:`repro.serve.service` — the transport-independent core: request
   handlers, the warm shared caches (:class:`~repro.perf.RefinementMemo`
   disk layer as the persistent verdict store, per-config plan caches),

@@ -1,10 +1,10 @@
-"""Asyncio adapter over the campaign engine's process-per-shard pool.
+"""Asyncio adapter over the campaign engine's persistent worker pool.
 
 :class:`AsyncShardPool` lets the event loop submit shards to a
-:class:`~repro.campaign.ShardExecutor` (child processes, crash/timeout
-accounting included) and await their records as futures, while a single
-daemon poller thread reaps completions.  A worker that segfaults or
-overruns its timeout is handled by the executor's
+:class:`~repro.campaign.ShardExecutor` (long-lived child processes,
+crash/timeout accounting included) and await their records as futures,
+while a single daemon poller thread reaps completions.  A worker that
+segfaults or overruns its timeout is handled by the executor's
 :class:`~repro.campaign.supervisor.WorkerSupervisor` — restarted with
 backoff, or (past the restart budget) resolved as an ``errored``
 record — never an exception, never a hang — which is what lets the
@@ -72,32 +72,40 @@ class AsyncShardPool:
             self._thread.start()
 
     def close(self) -> None:
+        """Stop the poller, reap every worker process, and cancel the
+        futures of jobs that never finished."""
         self._stop = True
         self._wake.set()
-        if self._thread is not None:
-            self._thread.join(timeout=_JOIN_TIMEOUT)
+        try:
+            self._join_poller()
+        finally:
+            with self._lock:
+                self.executor.shutdown(kill=True)
+                pending, self._pending = dict(self._pending), {}
+            for loop, future in pending.values():
+                loop.call_soon_threadsafe(
+                    _resolve_cancelled, future)
+
+    def _join_poller(self) -> None:
+        if self._thread is None:
+            return
+        self._thread.join(timeout=_JOIN_TIMEOUT)
+        if self._thread.is_alive():
+            # The poller is stuck (most likely inside a pipe wait on a
+            # wedged worker).  Don't abandon it silently: say so, count
+            # it, and escalate the join once before falling back to the
+            # daemon-thread backstop.
+            logger.warning(
+                "shard-pool poller did not stop within %.1fs; "
+                "escalating join to %.1fs", _JOIN_TIMEOUT,
+                _JOIN_ESCALATED)
+            self._thread.join(timeout=_JOIN_ESCALATED)
             if self._thread.is_alive():
-                # The poller is stuck (most likely inside a pipe poll on
-                # a wedged worker).  Don't abandon it silently: say so,
-                # count it, and escalate the join once before falling
-                # back to the daemon-thread backstop.
-                logger.warning(
-                    "shard-pool poller did not stop within %.1fs; "
-                    "escalating join to %.1fs", _JOIN_TIMEOUT,
-                    _JOIN_ESCALATED)
-                self._thread.join(timeout=_JOIN_ESCALATED)
-                if self._thread.is_alive():
-                    NUM_POLLER_LEAKS.inc()
-                    logger.error(
-                        "shard-pool poller leaked: still alive after "
-                        "%.1fs; leaving the daemon thread behind",
-                        _JOIN_TIMEOUT + _JOIN_ESCALATED)
-        with self._lock:
-            self.executor.shutdown(kill=True)
-            pending, self._pending = dict(self._pending), {}
-        for loop, future in pending.values():
-            loop.call_soon_threadsafe(
-                _resolve_cancelled, future)
+                NUM_POLLER_LEAKS.inc()
+                logger.error(
+                    "shard-pool poller leaked: still alive after "
+                    "%.1fs; leaving the daemon thread behind",
+                    _JOIN_TIMEOUT + _JOIN_ESCALATED)
 
     # -- submission --------------------------------------------------------
     def submit(self, spec: CampaignSpec, shard: Shard,

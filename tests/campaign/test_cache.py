@@ -10,8 +10,11 @@ shift the shared fault stream.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign import CampaignSpec, run_campaign, run_shard
+from repro.campaign import worker as worker_module
 from repro.campaign.canon import canonical_hash
+from repro.campaign.sharding import plan_shards
+from repro.campaign.worker import memo_scope
 from repro.diag import stats_snapshot
 from repro.fuzz import random_functions
 from repro.ir import parse_function, print_module
@@ -33,6 +36,55 @@ OPTS = CheckOptions(max_choices=20, fuel=600)
 
 def _perf(name):
     return stats_snapshot().get("perf", {}).get(name, 0)
+
+
+class TestMemoScope:
+    """A scope builds one memo per (context, cache_dir) and refreshes it
+    for later shards; outside a scope each shard builds its own."""
+
+    @staticmethod
+    def _count_memos(monkeypatch):
+        built = []
+
+        class Counting(RefinementMemo):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(worker_module, "RefinementMemo", Counting)
+        return built
+
+    def test_scope_builds_one_memo_per_context(self, monkeypatch,
+                                               tmp_path):
+        built = self._count_memos(monkeypatch)
+        spec = SPEC.with_(cache_dir=str(tmp_path))
+        shards = plan_shards(spec)
+        with memo_scope():
+            for shard in shards:
+                run_shard(spec, shard)
+            run_shard(spec.with_(opt_config="fixed"), shards[0])
+        assert len(shards) > 1
+        assert len(built) == 2
+
+    def test_direct_calls_build_fresh_memos(self, monkeypatch):
+        built = self._count_memos(monkeypatch)
+        shards = plan_shards(SPEC)
+        for shard in shards:
+            run_shard(SPEC, shard)
+        assert len(built) == len(shards)
+
+    def test_scoped_memo_replays_earlier_shards(self):
+        # a function repeated across shards is checked once per scope
+        spec = SPEC.with_(shard_size=16)
+        shards = plan_shards(spec)
+        with memo_scope() as scope:
+            first = run_shard(spec, shards[0])
+            again = run_shard(spec, shards[0])
+        assert again["hashes"] == first["hashes"]
+        assert again["stats"]["perf"]["num-memo-hits"] == (
+            first["checked"] - first["verdicts"]["failed"])
+        (memo,) = scope._memos.values()
+        assert len(memo) == first["checked"] - first["verdicts"]["failed"]
 
 
 class TestCampaignInvariance:

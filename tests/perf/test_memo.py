@@ -64,6 +64,34 @@ class TestDiskLayer:
         assert second.lookup("h1") == "verified"
         assert second.lookup("h2") == "timeout"
 
+    def test_refresh_skips_own_appends(self, tmp_path, monkeypatch):
+        from repro.perf import memo as memo_module
+
+        d = str(tmp_path)
+        other = RefinementMemo("ctx", disk_dir=d)
+        memo = RefinementMemo("ctx", disk_dir=d)
+        memo.record("h1", "verified")
+        memo.flush()
+        other.record("h2", "verified")
+        other.flush()  # another writer of the same file (same pid)
+        memo.record("h3", "verified")
+        memo.flush()
+        parsed = []
+        classify = memo_module._classify
+        monkeypatch.setattr(memo_module, "_classify",
+                            lambda line: parsed.append(line)
+                            or classify(line))
+        # h2 sits between this memo's two appends, so the second append
+        # did not start at the read offset and is parsed again
+        assert memo.refresh() == 1
+        assert len(parsed) == 2
+        assert memo.lookup("h2") == "verified"
+        memo.record("h4", "verified")
+        memo.flush()
+        parsed.clear()
+        assert memo.refresh() == 0
+        assert parsed == []  # its own append, not parsed back
+
     def test_flush_is_incremental(self, tmp_path):
         memo = RefinementMemo("ctx", disk_dir=str(tmp_path))
         memo.record("h1", "verified")
