@@ -27,7 +27,8 @@ are held to:
 The script is also the CI gate: it exits nonzero if verdicts differ,
 if the disabled fast path stops being the ``NULL_SPAN`` singleton, if
 the merged trace is missing workers or layers, or — in full mode — if
-the tracing-on CPU overhead exceeds 10%.
+the tracing-on CPU overhead exceeds 10%.  The record is stamped with
+the git sha, mode and core count.
 
 Usage::
 
@@ -46,6 +47,7 @@ import sys
 import tempfile
 import time
 
+from provenance import stamp
 from repro.campaign import CampaignSpec, CampaignRunner
 from repro.diag.metrics import merge_latest_metrics, render_prometheus
 from repro.diag.spans import NULL_SPAN, SpanCollector
@@ -243,7 +245,7 @@ def main(argv=None) -> int:
 
     report = {
         "experiment": "E12",
-        "quick": args.quick,
+        **stamp(args.quick),
         "disabled_fast_path": bench_disabled_fast_path(args.quick),
         "tracing": bench_tracing_overhead(args.quick),
         "parallel_trace": bench_parallel_trace(args.quick),

@@ -16,7 +16,8 @@ clients over real sockets, writing a ``BENCH_e13.json`` trajectory:
 
 Gates (exit nonzero): verdict drift service-vs-batch, a zero warm-cache
 hit rate across connections, or any failed/rejected request during the
-mixed-load phase.
+mixed-load phase.  The record is stamped with the git sha, mode and
+core count.
 
 Usage::
 
@@ -35,6 +36,7 @@ import tempfile
 import threading
 import time
 
+from provenance import stamp
 from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign.worker import check_source
 from repro.fuzz import random_functions
@@ -245,7 +247,7 @@ def main(argv=None) -> int:
         try:
             report = {
                 "experiment": "E13",
-                "quick": args.quick,
+                **stamp(args.quick),
                 "server": {"workers": 2, "check_threads": 2,
                            "high_water": 256},
                 "parity": bench_parity(host, port, args.quick),

@@ -19,8 +19,9 @@ from .checkpoint import (
 from .cli import campaign_main
 from .executor import (
     CampaignRunner,
-    CampaignSummary,
     ShardExecutor,
+    account_records,
+    load_spec,
     merge_worker_stats,
     run_campaign,
 )
@@ -28,10 +29,7 @@ from .lint_attack import (
     AttackRunner,
     AttackSpec,
     AttackSummary,
-    aggregate_attack_records,
     plan_attack_shards,
-    render_attack_report,
-    run_attack,
     run_attack_shard,
 )
 from .reduce import (
@@ -40,7 +38,12 @@ from .reduce import (
     reduce_counterexamples,
     reduce_failure,
 )
-from .report import aggregate_records, build_diag, render_report
+from .report import (
+    CampaignSummary,
+    aggregate_records,
+    book_records,
+    render_report,
+)
 from .sharding import Shard, iter_shard_functions, plan_shards, shard_stream_seed
 from .spec import CampaignSpec
 from .supervisor import SupervisorPolicy, WorkerSupervisor
@@ -50,13 +53,13 @@ __all__ = [
     "AttackRunner", "AttackSpec", "AttackSummary",
     "CampaignRunner", "CampaignSpec", "CampaignSummary", "CheckpointStore",
     "DedupCache", "ReductionResult", "Shard", "ShardExecutor",
-    "SupervisorPolicy", "WorkerSupervisor",
-    "aggregate_attack_records", "aggregate_records", "merge_worker_stats",
-    "build_diag", "campaign_main", "canonical_function", "canonical_hash",
+    "SupervisorPolicy", "WorkerSupervisor", "account_records",
+    "aggregate_records", "book_records", "merge_worker_stats",
+    "campaign_main", "canonical_function", "canonical_hash",
     "canonical_text", "iter_shard_functions", "load_manifest",
-    "load_manifest_payload", "make_failure_oracle", "manifest_kind",
-    "plan_attack_shards", "plan_shards", "reduce_counterexamples",
-    "reduce_failure", "render_attack_report", "render_report",
-    "run_attack", "run_attack_shard", "run_campaign", "run_shard",
+    "load_manifest_payload", "load_spec", "make_failure_oracle",
+    "manifest_kind", "plan_attack_shards", "plan_shards",
+    "reduce_counterexamples", "reduce_failure", "render_report",
+    "run_attack_shard", "run_campaign", "run_shard",
     "save_manifest", "shard_stream_seed",
 ]

@@ -22,14 +22,9 @@ import json
 import sys
 from typing import List, Optional
 
-from .checkpoint import (
-    CheckpointStore,
-    load_manifest,
-    load_manifest_payload,
-    manifest_kind,
-)
-from .executor import CampaignRunner
-from .report import aggregate_records, render_report
+from .checkpoint import CheckpointStore, load_manifest, manifest_kind
+from .executor import CampaignRunner, _resolve_work, load_spec
+from .report import CampaignSummary
 from .reduce import reduce_counterexamples
 from .spec import CampaignSpec
 
@@ -320,33 +315,21 @@ def _finish_trace(args: argparse.Namespace) -> None:
           f"--trace {trace_path}`)", file=sink)
 
 
-def _print_summary(summary, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(summary.as_dict(), indent=2, sort_keys=True))
-        return
-    print(f"campaign: {summary.shards_run} shard(s) run, "
-          f"{summary.shards_skipped} skipped (already done), "
-          f"{len(summary.shards_errored)} errored")
-    print(f"  {summary.checked} functions checked, "
-          f"{summary.dedup_hits} dedup hits "
-          f"({summary.dedup_hit_rate * 100:.1f}%)")
-    sampled = (f" ({summary.sampled_verified} sampled)"
-               if summary.sampled_verified else "")
-    print(f"  verdicts: {summary.verified} verified{sampled}, "
-          f"{summary.failed} failed, "
-          f"{summary.inconclusive} inconclusive, "
-          f"{summary.timeout} timeout")
-    if summary.recoveries or summary.crashes:
-        print(f"  resilience: {summary.recoveries} pass failure(s) "
-              f"recovered, {len(summary.crashes)} function(s) crashed"
-              + (f", {len(summary.bundle_paths)} crash bundle(s)"
-                 if summary.bundle_paths else ""))
-    if summary.failed:
-        print(f"  {len(summary.counterexamples)} counterexample(s) "
-              f"recorded; run `campaign reduce` to shrink them")
+def _run(spec, args: argparse.Namespace, resume: bool = False) -> int:
+    """Run (or resume) ``spec`` under ``--out`` and print its summary;
+    exits with the kind's status for errored shards."""
+    if hasattr(spec, "trace_dir"):  # lint-attack shards write no spans
+        spec = _apply_trace(spec, args)
+    runner = CampaignRunner(spec, out_dir=args.out, workers=args.workers,
+                            shard_timeout=args.shard_timeout)
+    summary = runner.run(resume=resume, stop_after=args.stop_after)
+    print(json.dumps(summary.as_dict(), indent=2, sort_keys=True)
+          if args.json else summary.render())
+    if getattr(spec, "trace_dir", None) is not None:
+        _finish_trace(args)
     if summary.shards_errored:
-        print(f"  errored shards (will retry on resume): "
-              f"{summary.shards_errored}")
+        return _resolve_work(spec.kind).errored_exit
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -355,34 +338,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    spec = _apply_trace(spec, args)
-    runner = CampaignRunner(spec, out_dir=args.out, workers=args.workers,
-                            shard_timeout=args.shard_timeout)
-    summary = runner.run(stop_after=args.stop_after)
-    _print_summary(summary, args.json)
-    if args.trace_out is not None:
-        _finish_trace(args)
-    return 0
+    return _run(spec, args)
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     try:
-        if manifest_kind(args.out) == "lint-attack":
-            return _resume_attack(args)
-        spec, _ = load_manifest(args.out)
+        spec = load_spec(args.out)
     except FileNotFoundError:
         print(f"error: no campaign manifest under {args.out!r} "
               f"(run `campaign run --out {args.out}` first)",
               file=sys.stderr)
         return 1
-    spec = _apply_trace(spec, args)
-    runner = CampaignRunner(spec, out_dir=args.out, workers=args.workers,
-                            shard_timeout=args.shard_timeout)
-    summary = runner.run(resume=True, stop_after=args.stop_after)
-    _print_summary(summary, args.json)
-    if args.trace_out is not None:
-        _finish_trace(args)
-    return 0
+    return _run(spec, args, resume=True)
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -399,8 +366,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     store = CheckpointStore(args.out)
-    agg = aggregate_records(spec, store.load())
-    counterexamples = agg["counterexamples"]
+    counterexamples = CampaignSummary.from_records(
+        spec, store.load()).counterexamples
     if not counterexamples:
         print("no counterexamples recorded; nothing to reduce")
         return 0
@@ -425,20 +392,26 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
-        if manifest_kind(args.out) == "lint-attack":
-            return _report_attack(args)
-        spec, _ = load_manifest(args.out)
+        spec = load_spec(args.out)
     except FileNotFoundError:
         print(f"error: no campaign manifest under {args.out!r}",
               file=sys.stderr)
         return 1
-    records = CheckpointStore(args.out).load()
+    summary = _resolve_work(spec.kind).summary_class.from_records(
+        spec, CheckpointStore(args.out).load())
     if args.json:
-        print(json.dumps(aggregate_records(spec, records), indent=2,
-                         sort_keys=True))
+        print(json.dumps(summary.report_dict(), indent=2, sort_keys=True))
     else:
-        print(render_report(spec, records))
+        print(summary.render_report())
     return 0
+
+
+def _auto_stride(args: argparse.Namespace, total: int) -> int:
+    """``--stride``, or when it is 0 or less, a stride that spreads
+    ``--limit`` samples over ``total`` corpus indices."""
+    if args.stride > 0:
+        return args.stride
+    return max(1, total // max(1, args.limit))
 
 
 def _cmd_lint_audit(args: argparse.Namespace) -> int:
@@ -457,14 +430,11 @@ def _cmd_lint_audit(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    stride = args.stride
-    if stride <= 0:
-        total = enumeration_size(
-            args.instructions, width=args.width, num_args=args.num_args,
-            opcodes=tuple(Opcode(n) for n in opcodes),
-            include_deferred=args.include_deferred,
-            include_flags=args.include_flags)
-        stride = max(1, total // max(1, args.limit))
+    stride = _auto_stride(args, enumeration_size(
+        args.instructions, width=args.width, num_args=args.num_args,
+        opcodes=tuple(Opcode(n) for n in opcodes),
+        include_deferred=args.include_deferred,
+        include_flags=args.include_flags))
     bundle_dir = args.bundle_dir or os.path.join(args.out,
                                                  "lint-audit-bundles")
 
@@ -527,7 +497,6 @@ def _attack_spec_from_args(args: argparse.Namespace):
         include_deferred=args.include_deferred,
         limit=args.limit,
         start=args.start,
-        stride=max(1, args.stride),
         mutators=csv(args.mutators),
         rules=csv(args.rules),
         shard_size=args.shard_size,
@@ -535,28 +504,10 @@ def _attack_spec_from_args(args: argparse.Namespace):
         max_paths=args.max_paths,
         fuel=args.fuel,
     )
-    if args.stride <= 0:
-        total = spec.enumeration_size()
-        spec = spec.with_(
-            stride=max(1, total // max(1, args.limit)))
-    return spec
-
-
-def _print_attack_summary(summary, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(summary.as_dict(), indent=2, sort_keys=True))
-        return
-    from .lint_attack import render_attack_report
-
-    print(render_attack_report(summary.spec, summary.records))
-    if summary.bundle_paths:
-        print(f"  {len(summary.bundle_paths)} disagreement bundle(s) "
-              f"written; replay with `repro crash replay <bundle>`")
+    return spec.with_(stride=_auto_stride(args, spec.enumeration_size()))
 
 
 def _cmd_lint_attack(args: argparse.Namespace) -> int:
-    from .lint_attack import AttackRunner
-
     if args.list_mutators:
         from ..mutate import MUTATORS, rules_attacked_by
 
@@ -571,41 +522,7 @@ def _cmd_lint_attack(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    runner = AttackRunner(spec, out_dir=args.out, workers=args.workers,
-                          shard_timeout=args.shard_timeout)
-    summary = runner.run(stop_after=args.stop_after)
-    _print_attack_summary(summary, args.json)
-    return 1 if summary.shards_errored else 0
-
-
-def _resume_attack(args: argparse.Namespace) -> int:
-    from .lint_attack import AttackRunner, AttackSpec
-
-    payload = load_manifest_payload(args.out)
-    spec = AttackSpec.from_dict(payload["spec"])
-    runner = AttackRunner(spec, out_dir=args.out, workers=args.workers,
-                          shard_timeout=args.shard_timeout)
-    summary = runner.run(resume=True, stop_after=args.stop_after)
-    _print_attack_summary(summary, args.json)
-    return 1 if summary.shards_errored else 0
-
-
-def _report_attack(args: argparse.Namespace) -> int:
-    from .lint_attack import (
-        AttackSpec,
-        aggregate_attack_records,
-        render_attack_report,
-    )
-
-    payload = load_manifest_payload(args.out)
-    spec = AttackSpec.from_dict(payload["spec"])
-    records = CheckpointStore(args.out).load()
-    if args.json:
-        print(json.dumps(aggregate_attack_records(spec, records),
-                         indent=2, sort_keys=True))
-    else:
-        print(render_attack_report(spec, records))
-    return 0
+    return _run(spec, args)
 
 
 def campaign_main(argv: Optional[List[str]] = None) -> int:

@@ -1,6 +1,8 @@
 """The campaign coordinator: shard scheduling, crash handling, resume.
 
-:class:`CampaignRunner` drives a shard plan to completion:
+:class:`CampaignRunner` drives a shard plan to completion, for every
+campaign kind (refine and lint-attack; :func:`_resolve_work` is the one
+table of what differs between them):
 
 * **workers = 1** (default) runs shards in-process — no serialization
   overhead, ideal for tests and benchmarks;
@@ -29,13 +31,11 @@ import os
 import stat
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..diag import (
     FlightRecorder,
-    PassStats,
-    PassTiming,
     Statistic,
     default_registry,
     emit_remark,
@@ -44,7 +44,13 @@ from ..diag import (
 )
 from ..diag.remarks import REMARK_ANALYSIS
 from ..opt.resilience import write_bundle
-from .checkpoint import CheckpointStore, save_manifest
+from .checkpoint import CheckpointStore, load_manifest_payload, save_manifest
+from .report import (  # noqa: F401  (counters stay importable here)
+    NUM_CHECKED,
+    NUM_SHARDS_ERRORED,
+    CampaignSummary,
+    book_records,
+)
 from .sharding import Shard, plan_shards
 from .spec import CampaignSpec
 from .supervisor import SupervisorPolicy, WorkerSupervisor
@@ -53,32 +59,9 @@ from .worker import memo_scope, run_shard
 #: subdirectory of a campaign's out_dir holding crash bundles.
 CRASHES_DIR = "crashes"
 
-NUM_CHECKED = Statistic(
-    "campaign", "num-functions-checked",
-    "Functions optimized and refinement-checked by campaign shards")
-NUM_DEDUP_HITS = Statistic(
-    "campaign", "num-dedup-hits",
-    "Functions skipped because their canonical hash was already checked")
-NUM_FAILURES = Statistic(
-    "campaign", "num-refinement-failures",
-    "Refinement failures (miscompilations) found by campaigns")
-NUM_SHARDS_DONE = Statistic(
-    "campaign", "num-shards-done", "Shards that completed successfully")
-NUM_SHARDS_ERRORED = Statistic(
-    "campaign", "num-shards-errored",
-    "Shards whose worker crashed or timed out")
 NUM_SHARDS_SKIPPED = Statistic(
     "campaign", "num-shards-skipped",
     "Shards skipped on resume (already checkpointed as done)")
-NUM_PASS_RECOVERIES = Statistic(
-    "campaign", "num-pass-recoveries",
-    "Guarded pass failures rolled back inside campaign shards")
-NUM_PASS_CRASHES = Statistic(
-    "campaign", "num-pass-crashes",
-    "Per-function pipeline crashes recorded by campaign shards")
-NUM_TIMEOUTS = Statistic(
-    "campaign", "num-timeout-verdicts",
-    "Functions whose refinement check exhausted its fuel budget")
 NUM_WORKERS_STARTED = Statistic(
     "campaign", "num-worker-processes-started",
     "Shard worker processes forked by the executor pool")
@@ -87,92 +70,57 @@ NUM_WORKERS_STARTED = Statistic(
 _STOP_GRACE = 5.0
 
 
-@dataclass
-class CampaignSummary:
-    """Aggregate view over every checkpointed shard of a campaign."""
+@dataclass(frozen=True)
+class CampaignKind:
+    """Everything that differs between the campaign kinds; the run
+    loop, checkpointing, crash handling and resume are shared."""
 
-    spec: CampaignSpec
-    shards_total: int
-    shards_run: int
-    shards_skipped: int
-    shards_errored: List[int]
-    checked: int = 0
-    dedup_hits: int = 0
-    verified: int = 0
-    failed: int = 0
-    inconclusive: int = 0
-    timeout: int = 0
-    #: subset of ``verified`` whose verdict came from input sampling
-    #: (``spec.sample_inputs``) — evidence, not exhaustive proof.
-    sampled_verified: int = 0
-    #: guarded pass failures rolled back inside shards (the pipeline
-    #: survived; the functions still concluded).
-    recoveries: int = 0
-    #: per-function pipeline crashes (strict policy or unguarded code);
-    #: these functions have no verdict and are retried on resume.
-    crashes: List[dict] = field(default_factory=list)
-    #: supervisor activity: worker restarts behind delivered records,
-    #: and shards quarantined as poison pills after the restart budget.
-    worker_restarts: int = 0
-    shards_quarantined: List[int] = field(default_factory=list)
-    #: crash-bundle paths written under ``out_dir/crashes/``.
-    bundle_paths: List[str] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    counterexamples: List[dict] = field(default_factory=list)
-    #: canonical hash → verdict, merged across shards in shard-id order
-    #: (first occurrence wins), so the set is schedule-independent.
-    verdicts: Dict[str, str] = field(default_factory=dict)
-    #: merged worker stats deltas (``{pass: {counter: n}}``) — the full
-    #: registry view across every shard, process-local or not.
-    stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    timing: PassTiming = field(default_factory=PassTiming, repr=False)
-    records: Dict[int, dict] = field(default_factory=dict, repr=False)
-
-    @property
-    def dedup_hit_rate(self) -> float:
-        total = self.checked + self.dedup_hits
-        return self.dedup_hits / total if total else 0.0
-
-    def verdict_lines(self) -> List[str]:
-        """Sorted ``"<hash> <verdict>"`` lines — the canonical,
-        worker-count-independent result of a campaign."""
-        return [f"{h} {v}" for h, v in sorted(self.verdicts.items())]
-
-    def as_dict(self) -> dict:
-        return {
-            "spec": self.spec.as_dict(),
-            "shards_total": self.shards_total,
-            "shards_run": self.shards_run,
-            "shards_skipped": self.shards_skipped,
-            "shards_errored": list(self.shards_errored),
-            "checked": self.checked,
-            "dedup_hits": self.dedup_hits,
-            "dedup_hit_rate": self.dedup_hit_rate,
-            "verified": self.verified,
-            "sampled_verified": self.sampled_verified,
-            "failed": self.failed,
-            "inconclusive": self.inconclusive,
-            "timeout": self.timeout,
-            "recoveries": self.recoveries,
-            "crashes": self.crashes,
-            "worker_restarts": self.worker_restarts,
-            "shards_quarantined": list(self.shards_quarantined),
-            "bundles": self.bundle_paths,
-            "wall_seconds": self.wall_seconds,
-            "counterexamples": self.counterexamples,
-            "stats": self.stats,
-        }
+    #: the spec's ``kind``, also the manifest's ``kind`` tag.
+    name: str
+    spec_class: type
+    plan_shards: Callable
+    #: ``(spec, shard, known_hashes) -> record``.
+    run_shard: Callable
+    #: has a ``from_records(spec, records, ...)`` fold.
+    summary_class: type
+    #: diag span around a run.
+    span: str
+    #: default ``cache_dir`` (under ``out_dir``) for specs that use the
+    #: memo cache; None for kinds without one.
+    memo_dir: Optional[str] = None
+    #: books a live run's new records into the diag layer.
+    account: Optional[Callable] = None
+    #: ``campaign run``/``resume`` exit status when shards errored.
+    errored_exit: int = 0
 
 
-def _resolve_work(kind: str):
-    """Map a work kind to ``(spec_from_dict, run_fn)``.
+def _resolve_work(kind: str) -> CampaignKind:
+    """The one table from a campaign kind to its :class:`CampaignKind`.
 
-    Lazy imports keep spawn-start children cheap and break the module
-    cycle with :mod:`.lint_attack` (which imports this executor)."""
+    Built per call, so ``run_shard`` is whatever the shard function's
+    module attribute holds at that moment (``executor.run_shard`` or
+    ``lint_attack.run_attack_shard``: tracers patch those names).  Lazy
+    imports keep spawn-start children cheap and break the module cycle
+    with :mod:`.lint_attack` (which imports this executor)."""
+    if kind == "refine":
+        return CampaignKind(
+            kind, CampaignSpec, plan_shards, run_shard, CampaignSummary,
+            span="campaign-run", memo_dir="memo", account=account_records)
     if kind == "lint-attack":
-        from .lint_attack import AttackSpec, run_attack_shard
-        return AttackSpec.from_dict, run_attack_shard
-    return CampaignSpec.from_dict, run_shard
+        from . import lint_attack
+        return CampaignKind(
+            kind, lint_attack.AttackSpec, lint_attack.plan_attack_shards,
+            lint_attack.run_attack_shard, lint_attack.AttackSummary,
+            span="lint-attack-run", errored_exit=1)
+    raise ValueError(f"unknown campaign kind {kind!r}")
+
+
+def load_spec(out_dir: str):
+    """The spec of a campaign directory's manifest, of whichever kind
+    the manifest names (refine manifests may predate the tag)."""
+    payload = load_manifest_payload(out_dir)
+    kind = _resolve_work(payload.get("kind", "refine"))
+    return kind.spec_class.from_dict(payload["spec"])
 
 
 def _worker_main(conn, work: str) -> None:
@@ -233,7 +181,7 @@ def _run_job(work: str, spec_dict: dict, shard_dict: dict,
     ``fatal`` says the job was interrupted by something other than an
     :class:`Exception` and the worker should not take another."""
     shard = Shard.from_dict(shard_dict)
-    spec_from_dict, run_fn = _resolve_work(work)
+    kind = _resolve_work(work)
     # Black box for this job: if the shard dies catastrophically
     # (outside the worker's own per-function handling), its last
     # recorded moments still reach the errored-shard record.
@@ -242,7 +190,8 @@ def _run_job(work: str, spec_dict: dict, shard_dict: dict,
     recorder.install()
     fatal = False
     try:
-        record = run_fn(spec_from_dict(spec_dict), shard, known_hashes)
+        record = kind.run_shard(kind.spec_class.from_dict(spec_dict), shard,
+                                known_hashes)
     except BaseException as e:  # report instead of dying silently
         fatal = not isinstance(e, Exception)
         record = _errored_record(shard, repr(e))
@@ -588,8 +537,12 @@ class ShardExecutor:
 
 
 class CampaignRunner:
-    """Run (or resume) one campaign against an output directory.
+    """Run (or resume) one campaign of either kind against an output
+    directory.
 
+    The spec's ``kind`` picks the shard planner, shard function and
+    summary fold (see :func:`_resolve_work`); the run loop, bundle
+    persistence, checkpointing and resume are the same for every kind.
     ``out_dir=None`` runs fully in memory — no manifest, checkpoint, or
     dedup log — which is what the benchmark harness uses.
     """
@@ -600,12 +553,13 @@ class CampaignRunner:
                  supervisor_policy: Optional[SupervisorPolicy] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if (out_dir is not None and spec.use_cache
+        memo_dir = _resolve_work(spec.kind).memo_dir
+        if (out_dir is not None and memo_dir is not None and spec.use_cache
                 and spec.cache_dir is None):
             # Default the shared on-disk memo layer next to the
             # checkpoint, so shards (and later resumes) of this campaign
             # share verdicts automatically.
-            spec = spec.with_(cache_dir=os.path.join(out_dir, "memo"))
+            spec = spec.with_(cache_dir=os.path.join(out_dir, memo_dir))
         self.spec = spec
         self.out_dir = out_dir
         self.workers = workers
@@ -619,16 +573,17 @@ class CampaignRunner:
 
     # -- public API --------------------------------------------------------
     def run(self, resume: bool = False, stop_after: Optional[int] = None,
-            progress: Optional[Callable[[dict], None]] = None
-            ) -> CampaignSummary:
-        """Execute the shard plan; returns the campaign-wide summary.
+            progress: Optional[Callable[[dict], None]] = None):
+        """Execute the shard plan; returns the kind's campaign-wide
+        summary.
 
         ``resume=True`` skips shards already checkpointed as ``done``
         and retries errored/missing ones.  ``stop_after=N`` stops after
         N newly completed shards (a graceful interrupt: the checkpoint
         stays consistent and ``resume`` finishes the rest).
         """
-        shards = plan_shards(self.spec)
+        kind = _resolve_work(self.spec.kind)
+        shards = kind.plan_shards(self.spec)
         prior: Dict[int, dict] = {}
         known: Dict[str, str] = {}
         if self.store is not None:
@@ -641,7 +596,8 @@ class CampaignRunner:
                 known = self.store.load_dedup()
             else:
                 save_manifest(self.out_dir, self.spec,
-                              extra={"shards": len(shards)})
+                              extra={"kind": kind.name,
+                                     "shards": len(shards)})
 
         pending = [s for s in shards if s.shard_id not in prior]
         if stop_after is not None:
@@ -662,18 +618,19 @@ class CampaignRunner:
 
         run_processes = (self.use_processes if self.use_processes is not None
                          else self.workers > 1)
-        with span("campaign-run", cat="campaign") as sp:
+        with span(kind.span, cat="campaign") as sp:
             if run_processes:
-                self._run_subprocess(pending, known, finalize)
+                self._run_subprocess(kind, pending, known, finalize)
             else:
-                self._run_inprocess(pending, known, finalize)
+                self._run_inprocess(kind, pending, known, finalize)
             sp.set(shards=len(pending), workers=self.workers,
                    processes=run_processes)
 
-        summary = self._summarize({**prior, **new_records}, shards,
-                                  shards_run=len(new_records),
-                                  shards_skipped=len(prior))
-        self._account(new_records, summary)
+        summary = kind.summary_class.from_records(
+            self.spec, {**prior, **new_records}, shards_total=len(shards),
+            shards_run=len(new_records), shards_skipped=len(prior))
+        if kind.account is not None:
+            kind.account(self.spec, new_records)
         return summary
 
     def _persist_bundles(self, record: dict) -> None:
@@ -692,8 +649,8 @@ class CampaignRunner:
         record["bundles"] = [write_bundle(root, p) for p in payloads]
 
     # -- execution strategies ---------------------------------------------
-    def _run_inprocess(self, pending: List[Shard], known: Dict[str, str],
-                       finalize) -> None:
+    def _run_inprocess(self, kind: CampaignKind, pending: List[Shard],
+                       known: Dict[str, str], finalize) -> None:
         # One memo scope per run: shards after the first refresh the
         # memo instead of re-reading the whole disk layer.
         with memo_scope():
@@ -702,7 +659,7 @@ class CampaignRunner:
                 old_recorder = set_recorder(recorder)
                 recorder.install()
                 try:
-                    record = run_shard(self.spec, shard, known)
+                    record = kind.run_shard(self.spec, shard, known)
                 except Exception as e:
                     record = _errored_record(shard, repr(e))
                     record["flight_recorder"] = recorder.dump()
@@ -711,11 +668,12 @@ class CampaignRunner:
                     set_recorder(old_recorder)
                 finalize(shard, record)
 
-    def _run_subprocess(self, pending: List[Shard], known: Dict[str, str],
-                        finalize) -> None:
+    def _run_subprocess(self, kind: CampaignKind, pending: List[Shard],
+                        known: Dict[str, str], finalize) -> None:
         executor = ShardExecutor(
             workers=self.workers, shard_timeout=self.shard_timeout,
-            supervisor=WorkerSupervisor(self.supervisor_policy))
+            supervisor=WorkerSupervisor(self.supervisor_policy),
+            work=kind.name)
         try:
             for shard in pending:
                 executor.submit(self.spec, shard, known)
@@ -724,94 +682,38 @@ class CampaignRunner:
         finally:
             executor.shutdown(kill=True)
 
-    # -- aggregation -------------------------------------------------------
-    def _summarize(self, records: Dict[int, dict], shards: List[Shard],
-                   shards_run: int, shards_skipped: int) -> CampaignSummary:
-        summary = CampaignSummary(
-            spec=self.spec,
-            shards_total=len(shards),
-            shards_run=shards_run,
-            shards_skipped=shards_skipped,
-            shards_errored=[],
-            records=records,
-        )
-        for sid in sorted(records):
-            record = records[sid]
-            if record.get("status") == "errored":
-                # Still aggregate: a guarded shard that hit per-function
-                # crashes reports partial results (everything that did
-                # conclude) instead of losing the whole shard.
-                summary.shards_errored.append(sid)
-            summary.worker_restarts += record.get("restarts", 0)
-            if record.get("quarantined"):
-                summary.shards_quarantined.append(sid)
-            summary.checked += record.get("checked", 0)
-            summary.dedup_hits += record.get("dedup_hits", 0)
-            verdicts = record.get("verdicts", {})
-            summary.verified += verdicts.get("verified", 0)
-            summary.failed += verdicts.get("failed", 0)
-            summary.inconclusive += verdicts.get("inconclusive", 0)
-            summary.timeout += verdicts.get("timeout", 0)
-            summary.sampled_verified += record.get("sampled_verified", 0)
-            summary.recoveries += record.get("recoveries", 0)
-            summary.crashes.extend(record.get("crashes", []))
-            summary.bundle_paths.extend(record.get("bundles", []))
-            summary.wall_seconds += record.get("wall_seconds", 0.0)
-            summary.counterexamples.extend(
-                record.get("counterexamples", []))
-            # First occurrence (lowest shard id) wins: the merged verdict
-            # set is independent of worker count and scheduling order.
-            for h, v in sorted(record.get("hashes", {}).items()):
-                summary.verdicts.setdefault(h, v)
-            for pass_name, counters in (record.get("stats") or {}).items():
-                dest = summary.stats.setdefault(pass_name, {})
-                for name, value in counters.items():
-                    dest[name] = dest.get(name, 0) + value
-            summary.timing.passes.setdefault(
-                "campaign-shard", PassStats()
-            ).record(f"shard{sid}", record.get("wall_seconds", 0.0),
-                     changed=bool(verdicts.get("failed")))
-        return summary
 
-    def _account(self, new_records: Dict[int, dict],
-                 summary: CampaignSummary) -> None:
-        """Feed this run's results into the diag layer."""
-        for sid in sorted(new_records):
-            record = new_records[sid]
-            if record.get("status") == "errored":
-                NUM_SHARDS_ERRORED.inc()
-            else:
-                NUM_SHARDS_DONE.inc()
-            NUM_CHECKED.inc(record.get("checked", 0))
-            NUM_DEDUP_HITS.inc(record.get("dedup_hits", 0))
-            NUM_FAILURES.inc(record.get("verdicts", {}).get("failed", 0))
-            NUM_TIMEOUTS.inc(record.get("verdicts", {}).get("timeout", 0))
-            NUM_PASS_RECOVERIES.inc(record.get("recoveries", 0))
-            NUM_PASS_CRASHES.inc(len(record.get("crashes", [])))
-            for crash in record.get("crashes", []):
-                emit_remark(
-                    "campaign",
-                    f"pipeline crash on corpus function "
-                    f"#{crash.get('index')} (shard {sid}"
-                    f"{', pass ' + crash['pass'] if crash.get('pass') else ''}"
-                    f"): {crash.get('error', '')}",
-                    kind=REMARK_ANALYSIS, function="f",
-                )
-            for cex in record.get("counterexamples", []):
-                emit_remark(
-                    "campaign",
-                    f"refinement failure: {self.spec.pipeline} "
-                    f"({self.spec.opt_config}) miscompiles corpus "
-                    f"function #{cex['index']} "
-                    f"(shard {sid}, hash {cex['hash'][:12]})",
-                    kind=REMARK_ANALYSIS, function="f",
-                )
+def account_records(spec: CampaignSpec, records: Dict[int, dict]) -> None:
+    """Feed newly finished refine shard records into the diag layer: the
+    process-wide ``campaign/*`` counters, plus one remark per pipeline
+    crash and per refinement failure."""
+    book_records(records, default_registry())
+    for sid in sorted(records):
+        record = records[sid]
+        for crash in record.get("crashes", []):
+            emit_remark(
+                "campaign",
+                f"pipeline crash on corpus function "
+                f"#{crash.get('index')} (shard {sid}"
+                f"{', pass ' + crash['pass'] if crash.get('pass') else ''}"
+                f"): {crash.get('error', '')}",
+                kind=REMARK_ANALYSIS, function="f",
+            )
+        for cex in record.get("counterexamples", []):
+            emit_remark(
+                "campaign",
+                f"refinement failure: {spec.pipeline} "
+                f"({spec.opt_config}) miscompiles corpus "
+                f"function #{cex['index']} "
+                f"(shard {sid}, hash {cex['hash'][:12]})",
+                kind=REMARK_ANALYSIS, function="f",
+            )
 
 
 def run_campaign(spec: CampaignSpec, out_dir: Optional[str] = None,
                  workers: int = 1, resume: bool = False,
                  shard_timeout: Optional[float] = None,
-                 stop_after: Optional[int] = None) -> CampaignSummary:
+                 stop_after: Optional[int] = None):
     """One-call convenience wrapper around :class:`CampaignRunner`."""
     runner = CampaignRunner(spec, out_dir=out_dir, workers=workers,
                             shard_timeout=shard_timeout)

@@ -11,7 +11,7 @@ same shard plan the interrupted run was executing.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from ..fuzz import DEFAULT_OPCODES, SMALL_OPCODES
 from ..ir import Opcode
@@ -31,6 +31,9 @@ _POLICIES = ("none", "strict", "recover", "quarantine")
 @dataclass(frozen=True)
 class CampaignSpec:
     """Everything needed to reproduce a campaign from scratch."""
+
+    #: campaign kind (see :func:`repro.campaign.executor._resolve_work`).
+    kind: ClassVar[str] = "refine"
 
     #: "enumerate" walks an index range of the exhaustive space;
     #: "random" draws seeded streams (one derived seed per shard).

@@ -46,7 +46,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Awaitable, Callable, Dict, Optional
 
-from ..campaign.executor import CampaignRunner
+from ..campaign.executor import account_records
+from ..campaign.report import CampaignSummary
 from ..campaign.sharding import plan_shards
 from ..campaign.spec import CampaignSpec
 from ..campaign.worker import check_source
@@ -603,11 +604,9 @@ class ValidationService:
         finally:
             for future in futures:
                 future.cancel()
-        runner = CampaignRunner(spec)
-        summary = runner._summarize(records, shards,
-                                    shards_run=len(records),
-                                    shards_skipped=0)
-        runner._account(records, summary)
+        summary = CampaignSummary.from_records(spec, records,
+                                               shards_total=len(shards))
+        account_records(spec, records)
         memo = self.memo_for(spec)
         if memo is not None:
             memo.refresh()  # adopt what the workers just appended
