@@ -23,6 +23,7 @@ import json
 import os
 from typing import Dict, Iterable, Optional, Tuple
 
+from ..diag.jsonl import load_jsonl
 from .spec import CampaignSpec
 
 MANIFEST_NAME = "manifest.json"
@@ -37,22 +38,6 @@ def _append_jsonl(path: str, records: Iterable[dict]) -> None:
             f.write(json.dumps(record, sort_keys=True) + "\n")
         f.flush()
         os.fsync(f.fileno())
-
-
-def _load_jsonl(path: str) -> Iterable[dict]:
-    """Parse a JSONL file, skipping corrupt lines (a killed writer can
-    leave a truncated final record — that shard just reruns)."""
-    if not os.path.exists(path):
-        return
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                continue
 
 
 class CheckpointStore:
@@ -71,7 +56,7 @@ class CheckpointStore:
     def load(self) -> Dict[int, dict]:
         """All shard records, last-record-per-shard-id wins."""
         records: Dict[int, dict] = {}
-        for record in _load_jsonl(self.path):
+        for record in load_jsonl(self.path):
             if "shard_id" in record:
                 records[int(record["shard_id"])] = record
         return records
@@ -93,7 +78,7 @@ class CheckpointStore:
 
     def load_dedup(self) -> Dict[str, str]:
         known: Dict[str, str] = {}
-        for record in _load_jsonl(self.dedup_path):
+        for record in load_jsonl(self.dedup_path):
             if "hash" in record:
                 known[record["hash"]] = record.get("verdict", "")
         return known
@@ -103,7 +88,7 @@ class CheckpointStore:
         _append_jsonl(os.path.join(self.out_dir, REDUCED_NAME), records)
 
     def load_reduced(self) -> list:
-        return list(_load_jsonl(os.path.join(self.out_dir, REDUCED_NAME)))
+        return load_jsonl(os.path.join(self.out_dir, REDUCED_NAME))
 
 
 def save_manifest(out_dir: str, spec: CampaignSpec,

@@ -22,6 +22,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..opt.pipelines import CONFIGS
 from .checkpoint import CheckpointStore, load_manifest, manifest_kind
 from .executor import CampaignRunner, _resolve_work, load_spec
 from .report import CampaignSummary
@@ -62,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0,
                      help="random mode: campaign base seed")
     run.add_argument("--pipeline", default="o2",
-                     help="o2, quick, or a single pass name "
+                     help="o2, quick, codegen, or a single pass name "
                           "(default: o2)")
-    run.add_argument("--opt-config", choices=["fixed", "legacy"],
+    run.add_argument("--opt-config", choices=sorted(CONFIGS),
                      default="fixed", dest="opt_config")
     run.add_argument("--shard-size", type=int, default=64,
                      dest="shard_size")
@@ -161,28 +162,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint-audit",
         help="differentially validate the poison dataflow (and hence "
              "every lint verdict) against the executable semantics")
-    audit.add_argument("--width", type=int, default=2)
-    audit.add_argument("--instructions", type=int, default=2)
-    audit.add_argument("--num-args", type=int, default=2,
-                       dest="num_args")
-    audit.add_argument("--opcodes", default="add,mul,udiv,shl",
-                       help="comma-separated opcode names (default "
-                            "covers flag carriers, shifts, divisions)")
-    audit.add_argument("--include-flags", action="store_true",
-                       dest="include_flags", default=True)
-    audit.add_argument("--no-flags", action="store_false",
-                       dest="include_flags")
-    audit.add_argument("--no-deferred", action="store_false",
-                       dest="include_deferred",
-                       help="exclude undef/poison literals from "
-                            "operand pools")
-    audit.add_argument("--limit", type=int, default=500,
-                       help="functions to audit (default: 500)")
-    audit.add_argument("--start", type=int, default=0)
-    audit.add_argument("--stride", type=int, default=0,
-                       help="sample every Nth corpus index; 0 picks a "
-                            "stride spreading --limit over the whole "
-                            "space (default)")
+    _add_corpus_arguments(
+        audit, opcodes="add,mul,udiv,shl",
+        opcodes_help="comma-separated opcode names (default covers flag "
+                     "carriers, shifts, divisions)",
+        limit=500, limit_help="functions to audit (default: 500)")
     audit.add_argument("--bundle-dir", default=None, dest="bundle_dir",
                        help="write contradiction bundles here "
                             "(default: <out>/lint-audit-bundles)")
@@ -194,28 +178,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fuzz the lint engine and poison-flow analyzer with "
              "semantics-aware mutators, scoring every fired/silent "
              "verdict against exact behavior enumeration")
-    attack.add_argument("--width", type=int, default=2)
-    attack.add_argument("--instructions", type=int, default=2)
-    attack.add_argument("--num-args", type=int, default=2,
-                        dest="num_args")
-    attack.add_argument("--opcodes", default="",
-                        help="comma-separated opcode names (default: "
-                             "the small enumeration set)")
-    attack.add_argument("--include-flags", action="store_true",
-                        dest="include_flags", default=True)
-    attack.add_argument("--no-flags", action="store_false",
-                        dest="include_flags")
-    attack.add_argument("--no-deferred", action="store_false",
-                        dest="include_deferred",
-                        help="exclude undef/poison literals from "
-                             "operand pools")
-    attack.add_argument("--limit", type=int, default=32,
-                        help="seed functions to attack (default: 32)")
-    attack.add_argument("--start", type=int, default=0)
-    attack.add_argument("--stride", type=int, default=0,
-                        help="sample every Nth corpus index; 0 picks a "
-                             "stride spreading --limit over the whole "
-                             "space (default)")
+    _add_corpus_arguments(
+        attack, opcodes="",
+        opcodes_help="comma-separated opcode names (default: the small "
+                     "enumeration set)",
+        limit=32, limit_help="seed functions to attack (default: 32)")
     attack.add_argument("--mutators", default="",
                         help="comma-separated mutator names "
                              "(default: all; see --list-mutators)")
@@ -246,6 +213,29 @@ def _build_parser() -> argparse.ArgumentParser:
                              "interrupt; resume finishes the rest)")
     attack.add_argument("--json", action="store_true")
     return parser
+
+
+def _add_corpus_arguments(p: argparse.ArgumentParser, *, opcodes: str,
+                          opcodes_help: str, limit: int,
+                          limit_help: str) -> None:
+    """The seed-corpus flags ``lint-audit`` and ``lint-attack`` share,
+    with each command's own opcode and limit defaults."""
+    p.add_argument("--width", type=int, default=2)
+    p.add_argument("--instructions", type=int, default=2)
+    p.add_argument("--num-args", type=int, default=2, dest="num_args")
+    p.add_argument("--opcodes", default=opcodes, help=opcodes_help)
+    p.add_argument("--include-flags", action="store_true",
+                   dest="include_flags", default=True)
+    p.add_argument("--no-flags", action="store_false",
+                   dest="include_flags")
+    p.add_argument("--no-deferred", action="store_false",
+                   dest="include_deferred",
+                   help="exclude undef/poison literals from operand pools")
+    p.add_argument("--limit", type=int, default=limit, help=limit_help)
+    p.add_argument("--start", type=int, default=0)
+    p.add_argument("--stride", type=int, default=0,
+                   help="sample every Nth corpus index; 0 picks a stride "
+                        "spreading --limit over the whole space (default)")
 
 
 def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:

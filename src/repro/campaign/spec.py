@@ -15,17 +15,10 @@ from typing import ClassVar, Dict, Optional, Tuple
 
 from ..fuzz import DEFAULT_OPCODES, SMALL_OPCODES
 from ..ir import Opcode
-from ..opt import OptConfig, o2_pipeline, quick_pipeline, single_pass_pipeline
-from ..opt.resilience import CHAOS_MODES, ChaosEngine, guarded_pipeline
+from ..opt import OptConfig
+from ..opt.pipelines import CONFIGS, build_pipeline
+from ..opt.resilience import CHAOS_MODES, POLICIES, ChaosEngine
 from ..refine import CheckOptions
-from ..semantics import NEW, OLD
-
-#: pipelines addressable by name (anything else is a single-pass name)
-_PIPELINES = ("o2", "quick")
-
-_CONFIGS = ("fixed", "legacy")
-
-_POLICIES = ("none", "strict", "recover", "quarantine")
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,8 @@ class CampaignSpec:
     count: int = 256
     #: random mode base seed; each shard derives its own stream seed.
     seed: int = 0
-    #: "o2", "quick", or a single-pass name ("instcombine", "gvn", ...).
+    #: a name in :data:`repro.opt.pipelines.PIPELINES`: "o2", "quick",
+    #: "codegen", or a single-pass name ("instcombine", "gvn", ...).
     pipeline: str = "o2"
     #: "fixed" (NEW semantics, paper pipeline) or "legacy" (OLD
     #: semantics, historical pass behaviors).
@@ -77,7 +71,9 @@ class CampaignSpec:
     #: the function (as a crash record) on any verdict drift.
     cross_check: bool = False
     #: recovery policy for the pipeline under test: "none" runs the
-    #: plain PassManager (a pass crash kills the whole shard, as before);
+    #: plain PassManager (a pass crash kills the whole shard) unless
+    #: verify-each or chaos asks for the guard, which then runs strict,
+    #: or recover under chaos (:func:`repro.opt.pipelines.build_pipeline`);
     #: everything else runs a GuardedPassManager, turning a pass crash
     #: into a per-function record with an attached crash bundle.
     policy: str = "recover"
@@ -108,11 +104,11 @@ class CampaignSpec:
     def __post_init__(self):
         if self.mode not in ("enumerate", "random"):
             raise ValueError(f"unknown campaign mode {self.mode!r}")
-        if self.opt_config not in _CONFIGS:
+        if self.opt_config not in CONFIGS:
             raise ValueError(f"unknown opt config {self.opt_config!r}")
         if self.shard_size <= 0:
             raise ValueError("shard_size must be positive")
-        if self.policy not in _POLICIES:
+        if self.policy != "none" and self.policy not in POLICIES:
             raise ValueError(f"unknown recovery policy {self.policy!r}")
         if self.chaos_mode not in CHAOS_MODES:
             raise ValueError(f"unknown chaos mode {self.chaos_mode!r}")
@@ -130,30 +126,18 @@ class CampaignSpec:
         return SMALL_OPCODES if self.mode == "enumerate" else DEFAULT_OPCODES
 
     def make_opt_config(self) -> OptConfig:
-        if self.opt_config == "legacy":
-            return OptConfig.legacy(OLD)
-        return OptConfig.fixed(NEW)
+        return CONFIGS[self.opt_config]
 
     def semantics(self):
-        return OLD if self.opt_config == "legacy" else NEW
+        return CONFIGS[self.opt_config].semantics
 
     def make_pipeline(self):
-        config = self.make_opt_config()
-        if self.policy == "none" and self.chaos_seed is None:
-            if self.pipeline == "o2":
-                return o2_pipeline(config)
-            if self.pipeline == "quick":
-                return quick_pipeline(config)
-            return single_pass_pipeline(self.pipeline, config)
         chaos = (ChaosEngine(seed=self.chaos_seed, rate=self.chaos_rate,
                              mode=self.chaos_mode)
                  if self.chaos_seed is not None else None)
-        return guarded_pipeline(
-            self.pipeline, config,
-            policy=self.policy if self.policy != "none" else "recover",
-            verify_each=self.verify_each or chaos is not None,
-            chaos=chaos,
-        )
+        return build_pipeline(
+            self.pipeline, self.make_opt_config(), policy=self.policy,
+            verify_each=self.verify_each or chaos is not None, chaos=chaos)
 
     def check_options(self) -> CheckOptions:
         return CheckOptions(max_choices=self.max_choices, fuel=self.fuel,

@@ -12,7 +12,8 @@ verdict counts, newly discovered ``hash → verdict`` pairs, full
 counterexample reproducers, wall time, and a stats-registry delta
 covering exactly this shard's work.
 
-With a guarded pipeline (any spec ``policy`` but ``"none"``) the shard
+With a guarded pipeline (any spec ``policy`` but ``"none"``, or
+``"none"`` with verify-each or chaos) the shard
 additionally survives buggy passes: a pass crash or a ``verify-each``
 rejection rolls the function back and — under the recover/quarantine
 policies — the function still concludes normally, with the rollback

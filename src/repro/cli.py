@@ -68,36 +68,19 @@ from .diag import (
 from .ir import ParseError, parse_module, print_module, verify_module
 from .ir.types import IntType, VectorType
 from .ir.verifier import VerificationError
-from .opt import (
-    baseline_config,
-    codegen_pipeline,
-    o2_pipeline,
-    prototype_config,
-    quick_pipeline,
-)
+from .opt.pipelines import CONFIGS, PIPELINES, build_pipeline
 from .opt.resilience import (
     CHAOS_MODES,
     POLICIES,
     ChaosEngine,
     GuardedPassError,
+    GuardedPassManager,
     bisect_failure,
-    guarded_pipeline,
     list_bundles,
     load_bundle,
     replay_bundle,
 )
 from .semantics import run_once
-
-_PIPELINES = {
-    "o2": o2_pipeline,
-    "quick": quick_pipeline,
-    "codegen": codegen_pipeline,
-}
-
-_CONFIGS = {
-    "fixed": prototype_config,
-    "legacy": baseline_config,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,9 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(stats, remarks, timing, tracing).",
     )
     parser.add_argument("input", help="path to a textual IR (.ll) file")
-    parser.add_argument("--pipeline", choices=sorted(_PIPELINES),
-                        default="o2", help="pass pipeline (default: o2)")
-    parser.add_argument("--opt-config", choices=sorted(_CONFIGS),
+    parser.add_argument("--pipeline", choices=list(PIPELINES),
+                        default="o2", help="pass pipeline: o2, quick, "
+                        "codegen or one pass (default: o2)")
+    parser.add_argument("--opt-config", choices=sorted(CONFIGS),
                         default="fixed", dest="opt_config",
                         help="fixed = the paper's pipeline, legacy = the "
                              "historical (buggy) one (default: fixed)")
@@ -212,12 +196,6 @@ def _chaos_engine(args: argparse.Namespace) -> Optional[ChaosEngine]:
                        mode=args.chaos_mode, fail_at=fail_at)
 
 
-def _wants_guard(args: argparse.Namespace, chaos) -> bool:
-    return (args.policy != "none" or args.verify_each
-            or chaos is not None or args.bisect_limit is not None
-            or args.crash_dir is not None)
-
-
 def _traceable(fn) -> bool:
     return all(isinstance(a.type, (IntType, VectorType)) for a in fn.args)
 
@@ -318,7 +296,7 @@ def _dispatch(argv: List[str]) -> int:
     except ParseError as e:
         print(f"error: {args.input}: {e}", file=sys.stderr)
         return 1
-    config = _CONFIGS[args.opt_config]()
+    config = CONFIGS[args.opt_config]
 
     reset_stats()
     timing = PassTiming()
@@ -335,12 +313,13 @@ def _dispatch(argv: List[str]) -> int:
         old_collector = set_collector(collector)
 
     chaos = _chaos_engine(args)
-    guarded = _wants_guard(args, chaos)
-    policy = args.policy
-    if guarded and policy == "none":
-        # --verify-each alone should fail loudly; chaos experiments
-        # default to surviving their own injected faults.
-        policy = "recover" if chaos is not None else "strict"
+    pm = build_pipeline(
+        args.pipeline, config, timing, policy=args.policy,
+        verify_each=args.verify_each,
+        quarantine_after=args.quarantine_after,
+        bisect_limit=args.bisect_limit, crash_dir=args.crash_dir,
+        chaos=chaos)
+    guarded = isinstance(pm, GuardedPassManager)
 
     # Guarded compiles fly with the black box on: crash bundles then
     # carry the last events before the failure (`repro crash show`).
@@ -355,15 +334,6 @@ def _dispatch(argv: List[str]) -> int:
     failure_exit = 0
     try:
         with emitter.collect() as remarks:
-            if guarded:
-                pm = guarded_pipeline(
-                    args.pipeline, config, timing=timing, policy=policy,
-                    verify_each=args.verify_each,
-                    quarantine_after=args.quarantine_after,
-                    bisect_limit=args.bisect_limit,
-                    crash_dir=args.crash_dir, chaos=chaos)
-            else:
-                pm = _PIPELINES[args.pipeline](config, timing=timing)
             try:
                 with span("compile", cat="driver") as sp:
                     pm.run(module)
@@ -669,10 +639,10 @@ def _lint_parser() -> argparse.ArgumentParser:
                    help="run only this rule (repeatable)")
     p.add_argument("--list-rules", action="store_true",
                    help="list rule IDs and exit")
-    p.add_argument("--pipeline", choices=["none", "o2", "quick", "codegen"],
+    p.add_argument("--pipeline", choices=["none", *PIPELINES],
                    default="none",
                    help="optimize before linting (default: lint as-is)")
-    p.add_argument("--opt-config", choices=sorted(_CONFIGS),
+    p.add_argument("--opt-config", choices=sorted(CONFIGS),
                    default="fixed",
                    help="config for --pipeline (default: fixed)")
     return p
@@ -713,8 +683,8 @@ def _lint_main(argv: List[str]) -> int:
             print(f"error: {path}: {e}", file=sys.stderr)
             return 2
         if args.pipeline != "none":
-            config = _CONFIGS[args.opt_config]()
-            _PIPELINES[args.pipeline](config).run(module)
+            build_pipeline(args.pipeline,
+                           CONFIGS[args.opt_config]).run(module)
         # Lint always checks under the revised semantics: IR produced
         # by the legacy config is exactly the IR with latent UB.
         diags.extend(lint_module(module, rules=args.rule, file=path))
@@ -828,9 +798,9 @@ def _bisect_parser() -> argparse.ArgumentParser:
         description="Binary-search the first pass application that makes "
                     "a checker fail (the -opt-bisect-limit driver).")
     parser.add_argument("input", help="path to a textual IR (.ll) file")
-    parser.add_argument("--pipeline", choices=sorted(_PIPELINES),
+    parser.add_argument("--pipeline", choices=list(PIPELINES),
                         default="o2")
-    parser.add_argument("--opt-config", choices=sorted(_CONFIGS),
+    parser.add_argument("--opt-config", choices=sorted(CONFIGS),
                         default="fixed", dest="opt_config")
     parser.add_argument("--checker", choices=("verify", "interp"),
                         default="verify",
@@ -861,9 +831,7 @@ def _bisect_main(argv: List[str]) -> int:
     except ParseError as e:
         print(f"error: {args.input}: {e}", file=sys.stderr)
         return 1
-    config = _CONFIGS[args.opt_config]()
-    fail_at = _parse_fail_at(args.chaos_fail_at)
-    chaos_requested = args.chaos or bool(fail_at)
+    config = CONFIGS[args.opt_config]
 
     if args.checker == "verify":
         def checker(module) -> bool:
@@ -899,12 +867,8 @@ def _bisect_main(argv: List[str]) -> int:
         # A fresh chaos engine per probe: schedules are keyed to
         # executed-application indices, so every probe replays the same
         # faults up to its limit.
-        chaos = (ChaosEngine(seed=args.chaos_seed, rate=args.chaos_rate,
-                             mode=args.chaos_mode, fail_at=fail_at)
-                 if chaos_requested else None)
-        return guarded_pipeline(args.pipeline, config, policy="recover",
-                                verify_each=False, bisect_limit=limit,
-                                chaos=chaos)
+        return build_pipeline(args.pipeline, config, policy="recover",
+                              bisect_limit=limit, chaos=_chaos_engine(args))
 
     log = (lambda line: print(line, file=sys.stderr)) if args.verbose \
         else None

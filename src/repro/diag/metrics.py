@@ -35,6 +35,7 @@ import re
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from .jsonl import load_jsonl
 from .stats import StatsRegistry, default_registry
 
 #: prefix of every exported metric name.
@@ -318,23 +319,8 @@ class MetricsWriter:
         return True
 
 
-def load_metrics_series(path: str) -> List[Dict[str, Any]]:
-    """Load a metrics JSONL file, skipping torn/corrupt lines."""
-    out: List[Dict[str, Any]] = []
-    if not os.path.exists(path):
-        return out
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                out.append(record)
-    return out
+#: Load a metrics JSONL file, skipping torn/corrupt lines.
+load_metrics_series = load_jsonl
 
 
 def merge_latest_metrics(paths: Iterable[str]) -> Dict[str, Any]:

@@ -28,7 +28,8 @@ CPU time, per-phase rollups (phases appear as ``name/phase``
 pseudo-entries), and memo hit rates recovered from attached stat
 deltas.  :func:`render_top` prints it like a profiler's ``top``.
 
-This module deliberately imports nothing from the rest of ``repro``.
+This module deliberately imports nothing from the rest of ``repro``
+but the dependency-free JSONL reader.
 """
 
 from __future__ import annotations
@@ -38,32 +39,16 @@ import json
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from .jsonl import load_jsonl
+
 #: glob pattern the campaign worker's span files follow.
 SPAN_FILE_PATTERN = "spans-*.jsonl"
 
 
-def load_span_file(path: str) -> List[Dict[str, Any]]:
-    """Raw records (meta + spans) from one JSONL file, skipping torn or
-    corrupt lines."""
-    out: List[Dict[str, Any]] = []
-    if not os.path.exists(path):
-        return out
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                out.append(record)
-            elif isinstance(record, list):
-                # a batched line: one JSON array of span dicts per
-                # sink write (SpanCollector.SINK_BATCH)
-                out.extend(r for r in record if isinstance(r, dict))
-    return out
+#: Raw records (meta + spans) from one span file; a batched line (one
+#: JSON array of span dicts per SpanCollector.SINK_BATCH sink write)
+#: contributes each of its spans.
+load_span_file = load_jsonl
 
 
 def _sessions(records: Iterable[Dict[str, Any]]

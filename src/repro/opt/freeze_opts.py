@@ -40,6 +40,10 @@ class FreezeOpts(FunctionPass):
     use_flow = True
 
     def run_on_function(self, fn: Function) -> bool:
+        # Most functions hold no freeze: skip the fixpoint for them.
+        if not any(isinstance(inst, FreezeInst)
+                   for inst in fn.instructions()):
+            return False
         changed = False
         progress = True
         while progress:

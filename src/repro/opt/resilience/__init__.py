@@ -13,12 +13,7 @@ from typing import Optional
 
 from ...diag.timing import PassTiming
 from ..pass_manager import OptConfig
-from ..pipelines import (
-    codegen_pipeline,
-    o2_pipeline,
-    quick_pipeline,
-    single_pass_pipeline,
-)
+from ..pipelines import build_pipeline
 from .bisect import BisectResult, bisect_failure
 from .bundle import (
     ReplayResult,
@@ -52,13 +47,6 @@ from .guard import (
 )
 from .snapshot import clone_function, discard_snapshot, restore_function
 
-_NAMED_PIPELINES = {
-    "o2": o2_pipeline,
-    "quick": quick_pipeline,
-    "codegen": codegen_pipeline,
-}
-
-
 def guarded_pipeline(name: str = "o2",
                      config: Optional[OptConfig] = None,
                      timing: Optional[PassTiming] = None, *,
@@ -70,27 +58,12 @@ def guarded_pipeline(name: str = "o2",
                      crash_dir: Optional[str] = None,
                      chaos: Optional[ChaosEngine] = None
                      ) -> GuardedPassManager:
-    """A guarded version of a named pipeline (``o2``, ``quick``,
-    ``codegen``, or any single-pass name).
-
-    When a chaos engine is given, every pass is wrapped with
-    :class:`ChaosPass` sharing that engine, and the manager's ``seed``
-    is taken from it (so crash bundles record the fault schedule).
-    """
-    factory = _NAMED_PIPELINES.get(name)
-    base = (factory(config, timing=timing) if factory is not None
-            else single_pass_pipeline(name, config, timing=timing))
-    passes = base.passes
-    seed = None
-    if chaos is not None:
-        passes = wrap_with_chaos(passes, chaos)
-        seed = chaos.seed
-    return GuardedPassManager(
-        passes, max_iterations=base.max_iterations, timing=base.timing,
-        policy=policy, verify_each=verify_each, forbid_undef=forbid_undef,
-        quarantine_after=quarantine_after, bisect_limit=bisect_limit,
-        crash_dir=crash_dir, seed=seed,
-    )
+    """A guarded version of a named pipeline: :func:`build_pipeline`
+    with the ``recover`` policy by default."""
+    return build_pipeline(
+        name, config, timing, policy=policy, verify_each=verify_each,
+        forbid_undef=forbid_undef, quarantine_after=quarantine_after,
+        bisect_limit=bisect_limit, crash_dir=crash_dir, chaos=chaos)
 
 
 __all__ = [

@@ -30,7 +30,7 @@ from typing import List, Optional
 from ...ir import parse_function, verify_function
 from ...ir.parser import ParseError
 from ..pass_manager import OptConfig
-from ..pipelines import single_pass_pipeline
+from ..pipelines import FIXED, PASSES
 from .chaos import CHAOS_RAISE, ChaosEngine, ChaosFault, ChaosPass
 
 MANIFEST_NAME = "bundle.json"
@@ -172,12 +172,11 @@ def replay_bundle(path: str) -> ReplayResult:
                             f"bundle IR does not parse: {e}")
     config_dict = payload.get("opt_config")
     config = (OptConfig.from_dict(config_dict)
-              if config_dict else OptConfig.fixed())
-    try:
-        manager = single_pass_pipeline(pass_name, config)
-    except ValueError as e:
-        return ReplayResult(path, pass_name, False, f"unknown pass: {e}")
-    the_pass = manager.passes[0]
+              if config_dict else FIXED)
+    if pass_name not in PASSES:
+        return ReplayResult(path, pass_name, False,
+                            f"unknown pass {pass_name!r}")
+    the_pass = PASSES[pass_name](config)
 
     injected_action = payload.get("injected_action")
     if injected_action:

@@ -50,7 +50,6 @@ from ...diag import (
 )
 from ...diag.timing import PassTiming
 from ...ir.function import Function
-from ...ir.module import Module
 from ...ir.verifier import VerificationError, verify_function
 from ..pass_manager import FunctionPass, PassManager
 from .bundle import make_bundle_payload, write_bundle
@@ -293,8 +292,3 @@ class GuardedPassManager(PassManager):
                 {f"{f.pass_name}@{f.function}#{f.application}"
                  for f in self.failures}),
         }
-
-
-def run_guarded(manager: GuardedPassManager, module: Module) -> bool:
-    """Convenience alias mirroring ``PassManager.run``."""
-    return manager.run(module)

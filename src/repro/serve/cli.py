@@ -20,6 +20,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..opt.pipelines import CONFIGS
 from .client import ServeClient, ServeError
 from .protocol import OPS
 from .server import ValidationServer
@@ -123,8 +124,7 @@ def _client_parser() -> argparse.ArgumentParser:
                    choices=("exhaustive", "symbolic"),
                    help="refine pair mode: checker backend")
     p.add_argument("--pipeline", default=None)
-    p.add_argument("--opt-config", default=None,
-                   choices=("fixed", "legacy"))
+    p.add_argument("--opt-config", default=None, choices=sorted(CONFIGS))
     p.add_argument("--policy", default=None,
                    choices=("none", "strict", "recover", "quarantine"))
     p.add_argument("--rules", default=None,

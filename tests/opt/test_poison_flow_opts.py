@@ -95,3 +95,24 @@ entry:
     flow, changed_flow = _run(InstSimplify, src, True)
     assert changed_shallow and changed_flow
     assert print_function(shallow) == print_function(flow)
+
+
+def test_freeze_opts_skips_the_fixpoint_without_a_freeze(monkeypatch):
+    import repro.opt.freeze_opts as freeze_opts
+
+    calls = []
+    real = freeze_opts.analyze_poison_flow
+    monkeypatch.setattr(freeze_opts, "analyze_poison_flow",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    src = """
+define i8 @f(i8 %x) {
+entry:
+  %r = add nsw i8 %x, 1
+  ret i8 %r
+}"""
+    fn, changed = _run(FreezeOpts, src, True)
+    assert not changed
+    assert calls == []
+    # a function with a freeze still gets the fixpoint
+    _run(FreezeOpts, GUARDED_FREEZE, True)
+    assert len(calls) >= 1
