@@ -86,8 +86,7 @@ def _run_campaign(spec: CampaignSpec, workers: int = 1):
     in-process workers=1 A/B the overhead gate uses."""
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    summary = CampaignRunner(spec, out_dir=None, workers=workers,
-                             use_processes=workers > 1).run()
+    summary = CampaignRunner(spec, out_dir=None, workers=workers).run()
     cpu = time.process_time() - cpu0
     wall = time.perf_counter() - wall0
     assert not summary.shards_errored, summary.shards_errored

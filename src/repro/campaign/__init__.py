@@ -17,6 +17,7 @@ from .checkpoint import (
     save_manifest,
 )
 from .cli import campaign_main
+from .corpus import Corpus
 from .executor import (
     CampaignRunner,
     ShardExecutor,
@@ -52,6 +53,7 @@ from .worker import run_shard
 __all__ = [
     "AttackRunner", "AttackSpec", "AttackSummary",
     "CampaignRunner", "CampaignSpec", "CampaignSummary", "CheckpointStore",
+    "Corpus",
     "DedupCache", "ReductionResult", "Shard", "ShardExecutor",
     "SupervisorPolicy", "WorkerSupervisor", "account_records",
     "aggregate_records", "book_records", "merge_worker_stats",

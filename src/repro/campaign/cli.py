@@ -18,12 +18,14 @@ timing, and the stats registry — without re-running anything.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..opt.pipelines import CONFIGS
 from .checkpoint import CheckpointStore, load_manifest, manifest_kind
+from .corpus import Corpus
 from .executor import CampaignRunner, _resolve_work, load_spec
 from .report import CampaignSummary
 from .reduce import reduce_counterexamples
@@ -238,38 +240,17 @@ def _add_corpus_arguments(p: argparse.ArgumentParser, *, opcodes: str,
                         "spreading --limit over the whole space (default)")
 
 
+def _spec_from(cls, args: argparse.Namespace, **named):
+    """A ``cls`` spec from ``named`` plus every flag whose destination
+    is a field of ``cls`` (flags are named after the fields they set)."""
+    fields = {f.name for f in dataclasses.fields(cls)} - set(named)
+    return cls(**named, **{key: value for key, value in vars(args).items()
+                           if key in fields})
+
+
 def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
-    opcodes = tuple(
-        name.strip() for name in args.opcodes.split(",") if name.strip()
-    )
-    return CampaignSpec(
-        mode=args.mode,
-        width=args.width,
-        num_instructions=args.instructions,
-        num_args=args.num_args,
-        opcodes=opcodes,
-        include_deferred=args.include_deferred,
-        include_flags=args.include_flags,
-        count=args.count,
-        seed=args.seed,
-        pipeline=args.pipeline,
-        opt_config=args.opt_config,
-        shard_size=args.shard_size,
-        limit=args.limit,
-        start=args.start,
-        max_choices=args.max_choices,
-        fuel=args.fuel,
-        sample_inputs=args.sample_inputs,
-        engine=args.engine,
-        cross_check=args.cross_check,
-        policy=args.policy,
-        verify_each=args.verify_each,
-        chaos_seed=args.chaos_seed,
-        chaos_rate=args.chaos_rate,
-        chaos_mode=args.chaos_mode,
-        use_cache=args.use_cache,
-        cache_dir=args.cache_dir,
-    )
+    return _spec_from(CampaignSpec, args, num_instructions=args.instructions,
+                      opcodes=_csv(args.opcodes))
 
 
 def _spans_dir(out: str) -> str:
@@ -396,35 +377,34 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _auto_stride(args: argparse.Namespace, total: int) -> int:
-    """``--stride``, or when it is 0 or less, a stride that spreads
-    ``--limit`` samples over ``total`` corpus indices."""
+def _csv(text: str) -> Tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _corpus_stride(args: argparse.Namespace) -> int:
+    """``--stride``, or when it is 0 or less, the stride that spreads
+    ``--limit`` positions over the whole space of the corpus the
+    :func:`_add_corpus_arguments` flags name (which it validates)."""
+    corpus = Corpus.of(
+        _csv(args.opcodes), num_instructions=args.instructions,
+        width=args.width, num_args=args.num_args,
+        include_deferred=args.include_deferred,
+        include_flags=args.include_flags)
     if args.stride > 0:
         return args.stride
-    return max(1, total // max(1, args.limit))
+    return max(1, corpus.space_size // max(1, args.limit))
 
 
 def _cmd_lint_audit(args: argparse.Namespace) -> int:
     import os
 
-    from ..fuzz.optfuzz import enumeration_size
-    from ..ir import Opcode
     from .lint_audit import run_lint_audit
 
-    opcodes = tuple(
-        name.strip() for name in args.opcodes.split(",") if name.strip()
-    )
     try:
-        for name in opcodes:
-            Opcode(name)
+        stride = _corpus_stride(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    stride = _auto_stride(args, enumeration_size(
-        args.instructions, width=args.width, num_args=args.num_args,
-        opcodes=tuple(Opcode(n) for n in opcodes),
-        include_deferred=args.include_deferred,
-        include_flags=args.include_flags))
     bundle_dir = args.bundle_dir or os.path.join(args.out,
                                                  "lint-audit-bundles")
 
@@ -434,7 +414,7 @@ def _cmd_lint_audit(args: argparse.Namespace) -> int:
 
     report = run_lint_audit(
         width=args.width, instructions=args.instructions,
-        num_args=args.num_args, opcodes=opcodes,
+        num_args=args.num_args, opcodes=_csv(args.opcodes),
         include_flags=args.include_flags,
         include_deferred=args.include_deferred,
         limit=args.limit, start=args.start, stride=stride,
@@ -475,26 +455,10 @@ def _cmd_lint_audit(args: argparse.Namespace) -> int:
 def _attack_spec_from_args(args: argparse.Namespace):
     from .lint_attack import AttackSpec
 
-    def csv(text):
-        return tuple(n.strip() for n in text.split(",") if n.strip())
-
-    spec = AttackSpec(
-        width=args.width,
-        num_instructions=args.instructions,
-        num_args=args.num_args,
-        opcodes=csv(args.opcodes),
-        include_flags=args.include_flags,
-        include_deferred=args.include_deferred,
-        limit=args.limit,
-        start=args.start,
-        mutators=csv(args.mutators),
-        rules=csv(args.rules),
-        shard_size=args.shard_size,
-        max_inputs=args.max_inputs,
-        max_paths=args.max_paths,
-        fuel=args.fuel,
-    )
-    return spec.with_(stride=_auto_stride(args, spec.enumeration_size()))
+    return _spec_from(
+        AttackSpec, args, num_instructions=args.instructions,
+        opcodes=_csv(args.opcodes), stride=_corpus_stride(args),
+        mutators=_csv(args.mutators), rules=_csv(args.rules))
 
 
 def _cmd_lint_attack(args: argparse.Namespace) -> int:

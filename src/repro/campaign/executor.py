@@ -32,7 +32,7 @@ import stat
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..diag import (
     FlightRecorder,
@@ -78,8 +78,7 @@ class CampaignKind:
     #: the spec's ``kind``, also the manifest's ``kind`` tag.
     name: str
     spec_class: type
-    plan_shards: Callable
-    #: ``(spec, shard, known_hashes) -> record``.
+    #: ``(spec, shard) -> record``.
     run_shard: Callable
     #: has a ``from_records(spec, records, ...)`` fold.
     summary_class: type
@@ -104,13 +103,13 @@ def _resolve_work(kind: str) -> CampaignKind:
     with :mod:`.lint_attack` (which imports this executor)."""
     if kind == "refine":
         return CampaignKind(
-            kind, CampaignSpec, plan_shards, run_shard, CampaignSummary,
+            kind, CampaignSpec, run_shard, CampaignSummary,
             span="campaign-run", memo_dir="memo", account=account_records)
     if kind == "lint-attack":
         from . import lint_attack
         return CampaignKind(
-            kind, lint_attack.AttackSpec, lint_attack.plan_attack_shards,
-            lint_attack.run_attack_shard, lint_attack.AttackSummary,
+            kind, lint_attack.AttackSpec, lint_attack.run_attack_shard,
+            lint_attack.AttackSummary,
             span="lint-attack-run", errored_exit=1)
     raise ValueError(f"unknown campaign kind {kind!r}")
 
@@ -124,8 +123,8 @@ def load_spec(out_dir: str):
 
 
 def _worker_main(conn, work: str) -> None:
-    """Child-process entry: run ``(spec, shard, known)`` jobs from the
-    pipe, one record back per job, until a ``None`` job or EOF.
+    """Child-process entry: run ``(spec, shard)`` jobs from the pipe,
+    one record back per job, until a ``None`` job or EOF.
 
     One :func:`memo_scope` spans the worker's life: its memo loads the
     disk layer once and then only refreshes."""
@@ -138,9 +137,13 @@ def _worker_main(conn, work: str) -> None:
                 break
             if job is None:
                 break
-            record, fatal = _run_job(work, *job)
+            kind = _resolve_work(work)
+            spec_dict, shard_dict = job
+            record, interrupt = _call_shard(
+                kind, kind.spec_class.from_dict(spec_dict),
+                Shard.from_dict(shard_dict))
             conn.send(record)
-            if fatal:
+            if interrupt is not None:
                 break  # interrupted: report, then stop serving
     conn.close()
 
@@ -175,31 +178,28 @@ def _drop_inherited_sockets(keep: int) -> None:
         os.close(devnull)
 
 
-def _run_job(work: str, spec_dict: dict, shard_dict: dict,
-             known_hashes: Dict[str, str]) -> tuple:
-    """Run one shard in a worker; returns ``(record, fatal)``, where
-    ``fatal`` says the job was interrupted by something other than an
-    :class:`Exception` and the worker should not take another."""
-    shard = Shard.from_dict(shard_dict)
-    kind = _resolve_work(work)
-    # Black box for this job: if the shard dies catastrophically
-    # (outside the worker's own per-function handling), its last
-    # recorded moments still reach the errored-shard record.
+def _call_shard(kind: CampaignKind, spec, shard: Shard
+                ) -> Tuple[dict, Optional[BaseException]]:
+    """Run one shard under a fresh flight recorder (the black box: if
+    the shard dies outside its own per-function handling, its last
+    recorded moments still reach the record).
+
+    Any exception becomes an ``errored`` record carrying the recorder's
+    dump.  The second item is the exception when it is not an
+    :class:`Exception` (an interrupt or exit), which the caller must not
+    swallow."""
     recorder = FlightRecorder()
-    set_recorder(recorder)
+    old_recorder = set_recorder(recorder)
     recorder.install()
-    fatal = False
     try:
-        record = kind.run_shard(kind.spec_class.from_dict(spec_dict), shard,
-                                known_hashes)
+        return kind.run_shard(spec, shard), None
     except BaseException as e:  # report instead of dying silently
-        fatal = not isinstance(e, Exception)
         record = _errored_record(shard, repr(e))
         record["flight_recorder"] = recorder.dump()
+        return record, None if isinstance(e, Exception) else e
     finally:
         recorder.uninstall()
-        set_recorder(None)
-    return record, fatal
+        set_recorder(old_recorder)
 
 
 def _errored_record(shard: Shard, reason: str) -> dict:
@@ -271,7 +271,7 @@ class ShardExecutor:
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
-        #: (job_id, spec_dict, shard, known, not_before, deadline)
+        #: (job_id, spec_dict, shard, not_before, deadline)
         self._queue: deque = deque()
         #: job_id -> (proc, conn, t0, shard, deadline) of busy workers
         self._running: Dict[int, tuple] = {}
@@ -300,7 +300,6 @@ class ShardExecutor:
 
     # -- submission --------------------------------------------------------
     def submit(self, spec: CampaignSpec, shard: Shard,
-               known_hashes: Optional[Dict[str, str]] = None,
                deadline: Optional[float] = None) -> int:
         """Enqueue one shard; returns its job id.  Jobs start as pool
         slots free up (at most ``workers`` children at a time).
@@ -310,8 +309,7 @@ class ShardExecutor:
         ``errored`` record without consuming restart budget."""
         job_id = self._next_job
         self._next_job += 1
-        entry = (job_id, spec.as_dict(), shard,
-                 dict(known_hashes or {}), 0.0, deadline)
+        entry = (job_id, spec.as_dict(), shard, 0.0, deadline)
         self._queue.append(entry)
         if self.supervisor is not None:
             self._job_inputs[job_id] = entry
@@ -324,7 +322,7 @@ class ShardExecutor:
         now = time.monotonic()
         while self._queue and len(self._running) < self.workers:
             entry = self._queue.popleft()
-            if entry[4] > now:
+            if entry[3] > now:
                 delayed.append(entry)
                 continue
             self._dispatch(entry)
@@ -332,7 +330,7 @@ class ShardExecutor:
 
     def _dispatch(self, entry: tuple) -> None:
         """Send one job to an idle worker, or to a newly forked one."""
-        job_id, spec_dict, shard, known, _, deadline = entry
+        job_id, spec_dict, shard, _, deadline = entry
         fresh = job_id in self._restarted
         self._restarted.discard(job_id)
         while True:
@@ -345,7 +343,7 @@ class ShardExecutor:
                     self._stop(*self._idle.pop(0))
                 proc, conn = self._spawn()
             try:
-                conn.send((spec_dict, shard.as_dict(), known))
+                conn.send((spec_dict, shard.as_dict()))
                 break
             except OSError:
                 # The worker died while idle; the job never started.
@@ -470,7 +468,7 @@ class ShardExecutor:
             if self.shard_timeout is not None:
                 until = min(until, started + self.shard_timeout)
         if self._queue and len(self._running) < self.workers:
-            until = min(until, min(entry[4] for entry in self._queue))
+            until = min(until, min(entry[3] for entry in self._queue))
         timeout = max(0.0, until - now)
         if not self._running:
             # Nothing can complete; only backed-off restarts are worth
@@ -497,10 +495,10 @@ class ShardExecutor:
             # Re-enqueue under the same job id: callers' futures stay
             # pending across the restart, and a successful retry's
             # record is byte-identical (run_shard is a pure function of
-            # the re-used (spec, shard, known) inputs).  The retry runs
-            # in a newly forked worker, as the failed attempt's did.
-            self._queue.append(entry[:4] + (decision.not_before,
-                                            entry[5]))
+            # the re-used (spec, shard) inputs).  The retry runs in a
+            # newly forked worker, as the failed attempt's did.
+            self._queue.append(entry[:3] + (decision.not_before,
+                                            entry[4]))
             self._restarted.add(job_id)
             return None
         history = self.supervisor.history_for(job_id)
@@ -540,8 +538,8 @@ class CampaignRunner:
     """Run (or resume) one campaign of either kind against an output
     directory.
 
-    The spec's ``kind`` picks the shard planner, shard function and
-    summary fold (see :func:`_resolve_work`); the run loop, bundle
+    The spec's ``kind`` picks the shard function and summary fold (see
+    :func:`_resolve_work`); the shard plan, run loop, bundle
     persistence, checkpointing and resume are the same for every kind.
     ``out_dir=None`` runs fully in memory — no manifest, checkpoint, or
     dedup log — which is what the benchmark harness uses.
@@ -549,7 +547,6 @@ class CampaignRunner:
 
     def __init__(self, spec: CampaignSpec, out_dir: Optional[str] = None,
                  workers: int = 1, shard_timeout: Optional[float] = None,
-                 use_processes: Optional[bool] = None,
                  supervisor_policy: Optional[SupervisorPolicy] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -567,8 +564,6 @@ class CampaignRunner:
         #: restart/quarantine policy for subprocess shards; None = the
         #: supervisor defaults.
         self.supervisor_policy = supervisor_policy
-        #: None = processes exactly when workers > 1.
-        self.use_processes = use_processes
         self.store = CheckpointStore(out_dir) if out_dir else None
 
     # -- public API --------------------------------------------------------
@@ -583,9 +578,8 @@ class CampaignRunner:
         stays consistent and ``resume`` finishes the rest).
         """
         kind = _resolve_work(self.spec.kind)
-        shards = kind.plan_shards(self.spec)
+        shards = plan_shards(self.spec)
         prior: Dict[int, dict] = {}
-        known: Dict[str, str] = {}
         if self.store is not None:
             if resume:
                 prior = {
@@ -593,7 +587,6 @@ class CampaignRunner:
                     for sid, record in self.store.load().items()
                     if record.get("status") == "done"
                 }
-                known = self.store.load_dedup()
             else:
                 save_manifest(self.out_dir, self.spec,
                               extra={"kind": kind.name,
@@ -616,13 +609,12 @@ class CampaignRunner:
             if progress is not None:
                 progress(record)
 
-        run_processes = (self.use_processes if self.use_processes is not None
-                         else self.workers > 1)
+        run_processes = self.workers > 1
         with span(kind.span, cat="campaign") as sp:
             if run_processes:
-                self._run_subprocess(kind, pending, known, finalize)
+                self._run_subprocess(kind, pending, finalize)
             else:
-                self._run_inprocess(kind, pending, known, finalize)
+                self._run_inprocess(kind, pending, finalize)
             sp.set(shards=len(pending), workers=self.workers,
                    processes=run_processes)
 
@@ -650,33 +642,25 @@ class CampaignRunner:
 
     # -- execution strategies ---------------------------------------------
     def _run_inprocess(self, kind: CampaignKind, pending: List[Shard],
-                       known: Dict[str, str], finalize) -> None:
+                       finalize) -> None:
         # One memo scope per run: shards after the first refresh the
         # memo instead of re-reading the whole disk layer.
         with memo_scope():
             for shard in pending:
-                recorder = FlightRecorder()
-                old_recorder = set_recorder(recorder)
-                recorder.install()
-                try:
-                    record = kind.run_shard(self.spec, shard, known)
-                except Exception as e:
-                    record = _errored_record(shard, repr(e))
-                    record["flight_recorder"] = recorder.dump()
-                finally:
-                    recorder.uninstall()
-                    set_recorder(old_recorder)
+                record, interrupt = _call_shard(kind, self.spec, shard)
+                if interrupt is not None:
+                    raise interrupt
                 finalize(shard, record)
 
     def _run_subprocess(self, kind: CampaignKind, pending: List[Shard],
-                        known: Dict[str, str], finalize) -> None:
+                        finalize) -> None:
         executor = ShardExecutor(
             workers=self.workers, shard_timeout=self.shard_timeout,
             supervisor=WorkerSupervisor(self.supervisor_policy),
             work=kind.name)
         try:
             for shard in pending:
-                executor.submit(self.spec, shard, known)
+                executor.submit(self.spec, shard)
             for _job_id, shard, record in executor.drain():
                 finalize(shard, record)
         finally:

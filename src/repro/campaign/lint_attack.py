@@ -10,15 +10,17 @@ site) observation into the FN/FP/TP/TN taxonomy via
 negative or false positive) is reduced to the site's backward slice and
 recorded as a replayable ``lint-attack-soundness`` crash bundle.
 
-One runner, one fold per summary kind.  The
+One runner, one planner, one fold.  The
 :class:`~repro.campaign.executor.CampaignRunner` that runs ``campaign
 run`` runs these shards too: the spec's ``kind`` selects the shard
-planner, shard function and summary.  Sharding is a pure function of
-the frozen, JSON-serializable :class:`AttackSpec`; checkpoints are
-fsync'd JSONL with last-record-per-shard-id-wins semantics; the
-manifest is tagged ``"kind": "lint-attack"``.
-:meth:`AttackSummary.from_records` is the only fold of attack records,
-used by a live run, ``campaign resume`` and ``campaign report``.  Shard
+function and summary.  Sharding is a pure function of the frozen,
+JSON-serializable :class:`AttackSpec` and its seed corpus
+(:mod:`repro.campaign.corpus`); checkpoints are fsync'd JSONL with
+last-record-per-shard-id-wins semantics; the manifest is tagged
+``"kind": "lint-attack"``.  :meth:`AttackSummary.from_records` (the
+shared :class:`~repro.campaign.report.ShardSummary` fold plus
+:meth:`AttackSummary.add`) is the only fold of attack records, used by
+a live run, ``campaign resume`` and ``campaign report``.  Shard
 records are pure functions of ``(spec, shard)``, so the merged taxonomy
 is byte-identical across worker counts and resume boundaries.
 """
@@ -26,10 +28,10 @@ is byte-identical across worker counts and resume boundaries.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Tuple
 
-from ..diag import PassStats, PassTiming, Statistic, span, stats_snapshot
+from ..diag import Statistic, span, stats_snapshot
 from ..mutate import (
     VERDICTS,
     ClassifyOptions,
@@ -39,8 +41,10 @@ from ..mutate import (
 )
 from ..opt.resilience.bundle import make_bundle_payload
 from ..semantics.config import NEW, OLD
+from .corpus import CorpusSpec
 from .executor import CampaignRunner
-from .sharding import Shard
+from .report import ShardSummary
+from .sharding import Shard, plan_shards
 from .worker import _maybe_crash, _stats_delta
 
 #: campaign kind of an :class:`AttackSpec`, also its manifest tag.
@@ -84,15 +88,19 @@ def _verdict_stat(rule: str, verdict: str) -> Statistic:
 
 
 @dataclass(frozen=True)
-class AttackSpec:
+class AttackSpec(CorpusSpec):
     """Everything needed to reproduce a lint-attack campaign."""
 
     kind: ClassVar[str] = MANIFEST_KIND
+    #: shards address corpus positions (see
+    #: :func:`repro.campaign.sharding.plan_shards`).
+    index_shards: ClassVar[bool] = False
 
     width: int = 2
     num_instructions: int = 2
     num_args: int = 2
-    #: opcode names; empty = SMALL_OPCODES.
+    #: opcode names; empty = the exhaustive default set (see
+    #: :mod:`repro.campaign.corpus`).
     opcodes: Tuple[str, ...] = ()
     include_flags: bool = True
     include_deferred: bool = True
@@ -118,19 +126,15 @@ class AttackSpec:
     semantics_name: str = "new"
 
     def __post_init__(self):
-        from ..ir import Opcode
         from ..lint.rules import RULES
         from ..mutate import MUTATORS
 
         if self.shard_size <= 0:
             raise ValueError("shard_size must be positive")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
         if self.semantics_name not in ("new", "old"):
             raise ValueError(
                 f"unknown semantics {self.semantics_name!r}")
-        for name in self.opcodes:
-            Opcode(name)  # raises ValueError on unknown names
+        self.corpus  # raises ValueError on a bad stride or opcode name
         for name in self.mutators:
             if name not in MUTATORS:
                 raise ValueError(f"unknown mutator {name!r}")
@@ -138,36 +142,9 @@ class AttackSpec:
             if name not in RULES:
                 raise ValueError(f"unknown lint rule {name!r}")
 
-    # -- serialization -----------------------------------------------------
-    def as_dict(self) -> Dict:
-        data = asdict(self)
-        data["opcodes"] = list(self.opcodes)
-        data["mutators"] = list(self.mutators)
-        data["rules"] = list(self.rules)
-        return data
-
-    @staticmethod
-    def from_dict(data: Dict) -> "AttackSpec":
-        data = dict(data)
-        for key in ("opcodes", "mutators", "rules"):
-            if key in data:
-                data[key] = tuple(data[key])
-        return AttackSpec(**data)
-
-    def with_(self, **changes) -> "AttackSpec":
-        return replace(self, **changes)
-
     # -- resolution --------------------------------------------------------
     def semantics(self):
         return NEW if self.semantics_name == "new" else OLD
-
-    def resolved_opcodes(self):
-        from ..fuzz import SMALL_OPCODES
-        from ..ir import Opcode
-
-        if self.opcodes:
-            return tuple(Opcode(name) for name in self.opcodes)
-        return SMALL_OPCODES
 
     def resolved_mutators(self) -> List[str]:
         return list(self.mutators) if self.mutators else all_mutator_names()
@@ -181,55 +158,33 @@ class AttackSpec:
             max_choices=self.max_choices, fuel=self.fuel)
 
     # -- corpus addressing -------------------------------------------------
+    def corpus_window(self) -> Dict:
+        return {"start": self.start, "limit": self.limit,
+                "stride": self.stride}
+
     def enumeration_size(self) -> int:
-        from ..fuzz.optfuzz import enumeration_size
-
-        return enumeration_size(
-            self.num_instructions, width=self.width,
-            num_args=self.num_args, opcodes=self.resolved_opcodes(),
-            include_deferred=self.include_deferred,
-            include_flags=self.include_flags)
-
-    def total_functions(self) -> int:
-        """Number of sampled seed *positions* (the sharded unit)."""
-        indices = range(self.start, self.enumeration_size(), self.stride)
-        n = len(indices)
-        if self.limit is not None:
-            n = min(n, self.limit)
-        return n
+        return self.corpus.space_size
 
     def corpus_index(self, position: int) -> int:
         """Map a sampled position to its raw corpus index."""
-        return self.start + position * self.stride
+        return self.corpus.index_at(position)
 
     def seed_at(self, position: int):
-        from ..fuzz.optfuzz import function_at_index
-
-        return function_at_index(
-            self.corpus_index(position), self.num_instructions,
-            width=self.width, num_args=self.num_args,
-            opcodes=self.resolved_opcodes(),
-            include_deferred=self.include_deferred,
-            include_flags=self.include_flags)
+        return self.corpus.function_at(position)
 
 
-def plan_attack_shards(spec: AttackSpec) -> List[Shard]:
-    """The full shard plan over sampled positions — a pure function of
-    the spec (shards address positions, not raw corpus indices)."""
-    total = spec.total_functions()
-    return [
-        Shard(shard_id, lo, min(lo + spec.shard_size, total))
-        for shard_id, lo in enumerate(range(0, total, spec.shard_size))
-    ]
+#: one planner serves both campaign kinds; the name stays importable.
+plan_attack_shards = plan_shards
 
 
 def run_attack_shard(spec: AttackSpec, shard: Shard,
                      known_hashes: Optional[Dict[str, str]] = None) -> dict:
     """Attack one shard's seeds; a pure function of ``(spec, shard)``.
 
-    ``known_hashes`` is accepted for executor-interface compatibility
-    and ignored (attack shards have no cross-shard dedup: every scored
-    observation is wanted, per-rule).
+    ``known_hashes`` is accepted for the signature
+    :func:`~repro.campaign.worker.run_shard` has, and ignored (attack
+    shards have no cross-shard dedup: every scored observation is
+    wanted, per-rule).
     """
     _maybe_crash(shard.shard_id)
     stats_before = stats_snapshot()
@@ -304,14 +259,9 @@ def run_attack_shard(spec: AttackSpec, shard: Shard,
 
 
 @dataclass
-class AttackSummary:
+class AttackSummary(ShardSummary):
     """Aggregate view over every checkpointed shard of an attack."""
 
-    spec: AttackSpec
-    shards_total: int
-    shards_run: int
-    shards_skipped: int
-    shards_errored: List[int]
     seeds: int = 0
     mutants: int = 0
     observations: int = 0
@@ -319,60 +269,20 @@ class AttackSummary:
     #: rule -> verdict -> count, merged in shard-id order.
     taxonomy: Dict[str, Dict[str, int]] = field(default_factory=dict)
     disagreements: List[dict] = field(default_factory=list)
-    bundle_paths: List[str] = field(default_factory=list)
-    worker_restarts: int = 0
-    shards_quarantined: List[int] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    timing: PassTiming = field(default_factory=PassTiming, repr=False)
-    records: Dict[int, dict] = field(default_factory=dict, repr=False)
 
-    @classmethod
-    def from_records(cls, spec: AttackSpec, records: Dict[int, dict], *,
-                     shards_total: Optional[int] = None,
-                     shards_run: Optional[int] = None,
-                     shards_skipped: int = 0) -> "AttackSummary":
-        """Fold attack shard records (one per shard id) into totals.
+    timing_row: ClassVar[str] = "attack-shard"
 
-        ``shards_total`` defaults to the spec's shard plan and
-        ``shards_run`` to every record, which is the report's view."""
-        summary = cls(
-            spec=spec,
-            shards_total=(len(plan_attack_shards(spec))
-                          if shards_total is None else shards_total),
-            shards_run=len(records) if shards_run is None else shards_run,
-            shards_skipped=shards_skipped,
-            shards_errored=[],
-            records=records,
-        )
-        for sid in sorted(records):
-            record = records[sid]
-            if record.get("status") == "errored":
-                summary.shards_errored.append(sid)
-            summary.worker_restarts += record.get("restarts", 0)
-            if record.get("quarantined"):
-                summary.shards_quarantined.append(sid)
-            summary.seeds += record.get("seeds", 0)
-            summary.mutants += record.get("mutants", 0)
-            summary.observations += record.get("observations", 0)
-            summary.oracle_events += record.get("oracle_events", 0)
-            for rule, bucket in (record.get("taxonomy") or {}).items():
-                dest = summary.taxonomy.setdefault(
-                    rule, {v: 0 for v in VERDICTS})
-                for verdict, n in bucket.items():
-                    dest[verdict] = dest.get(verdict, 0) + n
-            summary.disagreements.extend(record.get("disagreements", []))
-            summary.bundle_paths.extend(record.get("bundles", []))
-            summary.wall_seconds += record.get("wall_seconds", 0.0)
-            for pass_name, counters in (record.get("stats") or {}).items():
-                dest = summary.stats.setdefault(pass_name, {})
-                for name, value in counters.items():
-                    dest[name] = dest.get(name, 0) + value
-            summary.timing.passes.setdefault(
-                "attack-shard", PassStats()
-            ).record(f"shard{sid}", record.get("wall_seconds", 0.0),
-                     changed=bool(record.get("disagreements")))
-        return summary
+    def add(self, record: dict) -> bool:
+        self.seeds += record.get("seeds", 0)
+        self.mutants += record.get("mutants", 0)
+        self.observations += record.get("observations", 0)
+        self.oracle_events += record.get("oracle_events", 0)
+        for rule, bucket in (record.get("taxonomy") or {}).items():
+            dest = self.taxonomy.setdefault(rule, {v: 0 for v in VERDICTS})
+            for verdict, n in bucket.items():
+                dest[verdict] = dest.get(verdict, 0) + n
+        self.disagreements.extend(record.get("disagreements", []))
+        return bool(record.get("disagreements"))
 
     @property
     def unclassified(self) -> int:
@@ -402,28 +312,19 @@ class AttackSummary:
         return lines
 
     def as_dict(self) -> dict:
-        return {
-            "kind": MANIFEST_KIND,
-            "spec": self.spec.as_dict(),
-            "shards_total": self.shards_total,
-            "shards_run": self.shards_run,
-            "shards_skipped": self.shards_skipped,
-            "shards_errored": list(self.shards_errored),
-            "seeds": self.seeds,
-            "mutants": self.mutants,
-            "observations": self.observations,
-            "oracle_events": self.oracle_events,
-            "classified": self.classified,
-            "unclassified": self.unclassified,
-            "taxonomy": self.taxonomy,
-            "disagreements": self.disagreements,
-            "bundles": self.bundle_paths,
-            "worker_restarts": self.worker_restarts,
-            "shards_quarantined": list(self.shards_quarantined),
-            "wall_seconds": self.wall_seconds,
-            "mutants_per_second": self.mutants_per_second,
-            "stats": self.stats,
-        }
+        return dict(
+            super().as_dict(),
+            kind=MANIFEST_KIND,
+            seeds=self.seeds,
+            mutants=self.mutants,
+            observations=self.observations,
+            oracle_events=self.oracle_events,
+            classified=self.classified,
+            unclassified=self.unclassified,
+            taxonomy=self.taxonomy,
+            disagreements=self.disagreements,
+            mutants_per_second=self.mutants_per_second,
+        )
 
     #: ``campaign report --json`` shows what a run shows.
     report_dict = as_dict

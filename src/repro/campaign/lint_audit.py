@@ -33,7 +33,6 @@ from ..analysis.poison_flow import (
     analyze_poison_flow,
 )
 from ..diag import Statistic, stats_snapshot
-from ..fuzz import enumerate_functions
 from ..ir.function import Function
 from ..ir.instructions import BinaryInst, BranchInst, Instruction, Opcode
 from ..mutate.ground_truth import (
@@ -43,6 +42,7 @@ from ..mutate.ground_truth import (
     _reduce,
 )
 from ..opt.resilience.bundle import make_bundle_payload, write_bundle
+from .corpus import Corpus
 from .worker import _stats_delta
 
 NUM_FUNCTIONS_AUDITED = Statistic(
@@ -238,36 +238,15 @@ def run_lint_audit(width: int = 2, instructions: int = 2,
     Also runs the lint rules over every corpus function, so the report
     doubles as a census of what the checker says about the space.
     """
-    from ..fuzz.optfuzz import SMALL_OPCODES, enumeration_size, function_at_index
-    from ..ir import Opcode as _Op
     from ..lint import lint_function
     from ..semantics.config import NEW
 
     semantics = semantics if semantics is not None else NEW
-    resolved = (tuple(_Op(o) for o in opcodes) if opcodes
-                else SMALL_OPCODES)
-
-    def corpus():
-        if stride <= 1:
-            yield from ((start + i, fn) for i, fn in enumerate(
-                enumerate_functions(
-                    instructions, width=width, num_args=num_args,
-                    opcodes=resolved, include_deferred=include_deferred,
-                    include_flags=include_flags, limit=limit,
-                    start=start)))
-            return
-        total = enumeration_size(
-            instructions, width=width, num_args=num_args,
-            opcodes=resolved, include_deferred=include_deferred,
-            include_flags=include_flags)
-        indices = range(start, total, stride)
-        if limit is not None:
-            indices = indices[:limit]
-        for idx in indices:
-            yield idx, function_at_index(
-                idx, instructions, width=width, num_args=num_args,
-                opcodes=resolved, include_deferred=include_deferred,
-                include_flags=include_flags)
+    corpus = Corpus.of(
+        opcodes, num_instructions=instructions, width=width,
+        num_args=num_args, include_deferred=include_deferred,
+        include_flags=include_flags, start=start, limit=limit,
+        stride=max(1, stride))
 
     audited = ("claims", "must_not", "must", "observations",
                "silent_verdicts", "unaudited")
@@ -275,9 +254,9 @@ def run_lint_audit(width: int = 2, instructions: int = 2,
     stats_before = stats_snapshot()
     findings_by_rule: Dict[str, int] = {}
     contradictions: List[Contradiction] = []
-    for index, (corpus_index, fn) in enumerate(corpus()):
+    for index, fn in enumerate(corpus.functions(0, len(corpus))):
         found, tally = audit_function(fn, semantics, opts,
-                                      index=corpus_index,
+                                      index=corpus.index_at(index),
                                       bundle_dir=bundle_dir)
         contradictions.extend(found)
         totals["functions"] += 1
@@ -293,7 +272,7 @@ def run_lint_audit(width: int = 2, instructions: int = 2,
         "spec": {
             "width": width, "instructions": instructions,
             "num_args": num_args,
-            "opcodes": [o.value for o in resolved],
+            "opcodes": [o.value for o in corpus.opcodes],
             "include_flags": include_flags,
             "include_deferred": include_deferred,
             "limit": limit, "start": start, "stride": stride,

@@ -1,5 +1,7 @@
-"""Refine campaign summaries: one fold from shard records to totals.
+"""Campaign summaries: one fold from shard records to totals.
 
+:meth:`ShardSummary.from_records` folds what every campaign kind's
+records share; each kind's summary adds its own totals in ``add``.
 :meth:`CampaignSummary.from_records` is the only place a refine
 campaign's shard records become totals, whichever surface asks: a live
 ``campaign run`` or ``resume``, ``campaign report`` (text and
@@ -15,7 +17,7 @@ and the ``-time-passes`` table, one row per shard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, ClassVar, Dict, List, Optional
 
 from ..diag import PassStats, PassTiming, Statistic, StatsRegistry
 from .sharding import plan_shards
@@ -63,29 +65,16 @@ def book_records(records: Dict[int, dict], registry: StatsRegistry) -> None:
 
 
 @dataclass
-class CampaignSummary:
-    """Aggregate view over every checkpointed shard of a campaign."""
+class ShardSummary:
+    """What every campaign kind's summary folds alike: shard accounting,
+    supervisor activity, bundles, wall time, merged stats deltas and
+    per-shard timing.  Each kind adds its own totals in :meth:`add`."""
 
-    spec: CampaignSpec
+    spec: Any
     shards_total: int
     shards_run: int
     shards_skipped: int
     shards_errored: List[int]
-    checked: int = 0
-    dedup_hits: int = 0
-    verified: int = 0
-    failed: int = 0
-    inconclusive: int = 0
-    timeout: int = 0
-    #: subset of ``verified`` whose verdict came from input sampling
-    #: (``spec.sample_inputs``) — evidence, not exhaustive proof.
-    sampled_verified: int = 0
-    #: guarded pass failures rolled back inside shards (the pipeline
-    #: survived; the functions still concluded).
-    recoveries: int = 0
-    #: per-function pipeline crashes (strict policy or unguarded code);
-    #: these functions have no verdict and are retried on resume.
-    crashes: List[dict] = field(default_factory=list)
     #: supervisor activity: worker restarts behind delivered records,
     #: and shards quarantined as poison pills after the restart budget.
     worker_restarts: int = 0
@@ -93,22 +82,22 @@ class CampaignSummary:
     #: crash-bundle paths written under ``out_dir/crashes/``.
     bundle_paths: List[str] = field(default_factory=list)
     wall_seconds: float = 0.0
-    counterexamples: List[dict] = field(default_factory=list)
-    #: canonical hash → verdict, merged across shards in shard-id order
-    #: (first occurrence wins), so the set is schedule-independent.
-    verdicts: Dict[str, str] = field(default_factory=dict)
     #: merged worker stats deltas (``{pass: {counter: n}}``) — the full
     #: registry view across every shard, process-local or not.
     stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     timing: PassTiming = field(default_factory=PassTiming, repr=False)
     records: Dict[int, dict] = field(default_factory=dict, repr=False)
 
+    #: the :class:`PassTiming` row of the per-shard wall times.
+    timing_row: ClassVar[str] = "campaign-shard"
+
     @classmethod
-    def from_records(cls, spec: CampaignSpec, records: Dict[int, dict], *,
+    def from_records(cls, spec, records: Dict[int, dict], *,
                      shards_total: Optional[int] = None,
                      shards_run: Optional[int] = None,
-                     shards_skipped: int = 0) -> "CampaignSummary":
-        """Fold shard records (one per shard id) into campaign totals.
+                     shards_skipped: int = 0):
+        """Fold shard records (one per shard id) into campaign totals,
+        in shard-id order.
 
         ``shards_total`` defaults to the spec's shard plan and
         ``shards_run`` to every record, which is the report's view."""
@@ -131,33 +120,79 @@ class CampaignSummary:
             summary.worker_restarts += record.get("restarts", 0)
             if record.get("quarantined"):
                 summary.shards_quarantined.append(sid)
-            summary.checked += record.get("checked", 0)
-            summary.dedup_hits += record.get("dedup_hits", 0)
-            verdicts = record.get("verdicts", {})
-            summary.verified += verdicts.get("verified", 0)
-            summary.failed += verdicts.get("failed", 0)
-            summary.inconclusive += verdicts.get("inconclusive", 0)
-            summary.timeout += verdicts.get("timeout", 0)
-            summary.sampled_verified += record.get("sampled_verified", 0)
-            summary.recoveries += record.get("recoveries", 0)
-            summary.crashes.extend(record.get("crashes", []))
             summary.bundle_paths.extend(record.get("bundles", []))
             summary.wall_seconds += record.get("wall_seconds", 0.0)
-            summary.counterexamples.extend(
-                record.get("counterexamples", []))
-            # First occurrence (lowest shard id) wins: the merged verdict
-            # set is independent of worker count and scheduling order.
-            for h, v in sorted(record.get("hashes", {}).items()):
-                summary.verdicts.setdefault(h, v)
             for pass_name, counters in (record.get("stats") or {}).items():
                 dest = summary.stats.setdefault(pass_name, {})
                 for name, value in counters.items():
                     dest[name] = dest.get(name, 0) + value
             summary.timing.passes.setdefault(
-                "campaign-shard", PassStats()
+                cls.timing_row, PassStats()
             ).record(f"shard{sid}", record.get("wall_seconds", 0.0),
-                     changed=bool(verdicts.get("failed")))
+                     changed=summary.add(record))
         return summary
+
+    def add(self, record: dict) -> bool:
+        """Fold one record into this kind's own totals; returns whether
+        the shard found something (its timing row's "changed")."""
+        raise NotImplementedError
+
+    def as_dict(self) -> dict:
+        return {
+            "spec": self.spec.as_dict(),
+            "shards_total": self.shards_total,
+            "shards_run": self.shards_run,
+            "shards_skipped": self.shards_skipped,
+            "shards_errored": list(self.shards_errored),
+            "worker_restarts": self.worker_restarts,
+            "shards_quarantined": list(self.shards_quarantined),
+            "bundles": self.bundle_paths,
+            "wall_seconds": self.wall_seconds,
+            "stats": self.stats,
+        }
+
+
+@dataclass
+class CampaignSummary(ShardSummary):
+    """Aggregate view over every checkpointed shard of a campaign."""
+
+    checked: int = 0
+    dedup_hits: int = 0
+    verified: int = 0
+    failed: int = 0
+    inconclusive: int = 0
+    timeout: int = 0
+    #: subset of ``verified`` whose verdict came from input sampling
+    #: (``spec.sample_inputs``) — evidence, not exhaustive proof.
+    sampled_verified: int = 0
+    #: guarded pass failures rolled back inside shards (the pipeline
+    #: survived; the functions still concluded).
+    recoveries: int = 0
+    #: per-function pipeline crashes (strict policy or unguarded code);
+    #: these functions have no verdict and are retried on resume.
+    crashes: List[dict] = field(default_factory=list)
+    counterexamples: List[dict] = field(default_factory=list)
+    #: canonical hash → verdict, merged across shards in shard-id order
+    #: (first occurrence wins), so the set is schedule-independent.
+    verdicts: Dict[str, str] = field(default_factory=dict)
+
+    def add(self, record: dict) -> bool:
+        self.checked += record.get("checked", 0)
+        self.dedup_hits += record.get("dedup_hits", 0)
+        verdicts = record.get("verdicts", {})
+        self.verified += verdicts.get("verified", 0)
+        self.failed += verdicts.get("failed", 0)
+        self.inconclusive += verdicts.get("inconclusive", 0)
+        self.timeout += verdicts.get("timeout", 0)
+        self.sampled_verified += record.get("sampled_verified", 0)
+        self.recoveries += record.get("recoveries", 0)
+        self.crashes.extend(record.get("crashes", []))
+        self.counterexamples.extend(record.get("counterexamples", []))
+        # First occurrence (lowest shard id) wins: the merged verdict
+        # set is independent of worker count and scheduling order.
+        for h, v in sorted(record.get("hashes", {}).items()):
+            self.verdicts.setdefault(h, v)
+        return bool(verdicts.get("failed"))
 
     @property
     def dedup_hit_rate(self) -> float:
@@ -170,29 +205,20 @@ class CampaignSummary:
         return [f"{h} {v}" for h, v in sorted(self.verdicts.items())]
 
     def as_dict(self) -> dict:
-        return {
-            "spec": self.spec.as_dict(),
-            "shards_total": self.shards_total,
-            "shards_run": self.shards_run,
-            "shards_skipped": self.shards_skipped,
-            "shards_errored": list(self.shards_errored),
-            "checked": self.checked,
-            "dedup_hits": self.dedup_hits,
-            "dedup_hit_rate": self.dedup_hit_rate,
-            "verified": self.verified,
-            "sampled_verified": self.sampled_verified,
-            "failed": self.failed,
-            "inconclusive": self.inconclusive,
-            "timeout": self.timeout,
-            "recoveries": self.recoveries,
-            "crashes": self.crashes,
-            "worker_restarts": self.worker_restarts,
-            "shards_quarantined": list(self.shards_quarantined),
-            "bundles": self.bundle_paths,
-            "wall_seconds": self.wall_seconds,
-            "counterexamples": self.counterexamples,
-            "stats": self.stats,
-        }
+        return dict(
+            super().as_dict(),
+            checked=self.checked,
+            dedup_hits=self.dedup_hits,
+            dedup_hit_rate=self.dedup_hit_rate,
+            verified=self.verified,
+            sampled_verified=self.sampled_verified,
+            failed=self.failed,
+            inconclusive=self.inconclusive,
+            timeout=self.timeout,
+            recoveries=self.recoveries,
+            crashes=self.crashes,
+            counterexamples=self.counterexamples,
+        )
 
     def report_dict(self) -> dict:
         """:meth:`as_dict` plus the report-only views: each errored

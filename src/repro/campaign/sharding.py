@@ -1,9 +1,9 @@
 """Partitioning a campaign's corpus into independent work units.
 
-Exhaustive campaigns shard the enumeration space by *index range*:
-``enumerate_functions(start=a, stop=b)`` addresses positions ``[a, b)``
-directly (mixed-radix decoding, no prefix walk), so a shard's corpus is
-a pure function of the spec and the shard id.  Random campaigns give
+Exhaustive campaigns shard their :class:`~repro.campaign.corpus.Corpus`
+by *position range*: the corpus addresses any position directly
+(mixed-radix decoding, no prefix walk), so a shard's corpus is a pure
+function of the spec and the shard id.  Random campaigns give
 each shard its own *derived stream seed*, mixed from the campaign seed
 and the shard id — shard corpora are therefore independent of worker
 count, scheduling order, and how many times the campaign was resumed.
@@ -11,7 +11,6 @@ count, scheduling order, and how many times the campaign was resumed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Optional
 
@@ -30,8 +29,9 @@ def shard_stream_seed(base_seed: int, shard_id: int) -> int:
 
 @dataclass(frozen=True)
 class Shard:
-    """One work unit: a contiguous corpus index range ``[start, stop)``
-    plus, in random mode, the shard's derived stream seed."""
+    """One work unit: a contiguous corpus window ``[start, stop)`` (see
+    :func:`plan_shards`) plus, in random mode, the shard's derived
+    stream seed."""
 
     shard_id: int
     start: int
@@ -50,40 +50,30 @@ class Shard:
         return Shard(**data)
 
 
-def plan_shards(spec: CampaignSpec) -> List[Shard]:
-    """The campaign's full shard plan — a pure function of the spec."""
-    total = spec.total_functions()
-    offset = spec.start if spec.mode == "enumerate" else 0
-    shards: List[Shard] = []
-    for shard_id, lo in enumerate(range(0, total, spec.shard_size)):
-        hi = min(lo + spec.shard_size, total)
-        seed = (shard_stream_seed(spec.seed, shard_id)
-                if spec.mode == "random" else None)
-        shards.append(Shard(shard_id, offset + lo, offset + hi, seed))
-    return shards
+def plan_shards(spec) -> List[Shard]:
+    """The full shard plan of a campaign of either kind — a pure
+    function of the spec.
+
+    Shards cut the spec's corpus positions into runs of ``shard_size``.
+    A refine shard's ``[start, stop)`` names corpus indices (its corpus
+    is contiguous), a lint-attack shard's names positions; random corpora
+    start at 0, where the two agree."""
+    corpus = spec.corpus
+    total = len(corpus)
+    origin = corpus.start if spec.index_shards else 0
+    return [
+        Shard(shard_id, origin + lo,
+              origin + min(lo + spec.shard_size, total),
+              None if corpus.seed is None
+              else shard_stream_seed(corpus.seed, shard_id))
+        for shard_id, lo in enumerate(range(0, total, spec.shard_size))
+    ]
 
 
 def iter_shard_functions(spec: CampaignSpec,
                          shard: Shard) -> Iterator[Function]:
-    """Generate exactly the functions this shard is responsible for."""
-    if spec.mode == "enumerate":
-        from ..fuzz import enumerate_functions
-
-        yield from enumerate_functions(
-            spec.num_instructions, width=spec.width,
-            num_args=spec.num_args, opcodes=spec.resolved_opcodes(),
-            include_deferred=spec.include_deferred,
-            include_flags=spec.include_flags,
-            start=shard.start, stop=shard.stop,
-        )
-    else:
-        from ..fuzz import random_functions
-
-        yield from random_functions(
-            shard.size, num_instructions=spec.num_instructions,
-            width=spec.width, num_args=spec.num_args,
-            opcodes=spec.resolved_opcodes(),
-            include_deferred=spec.include_deferred,
-            include_flags=spec.include_flags,
-            rng=random.Random(shard.seed),
-        )
+    """Generate exactly the functions this refine shard is responsible
+    for."""
+    corpus = spec.corpus
+    yield from corpus.functions(shard.start - corpus.start,
+                                shard.stop - corpus.start, shard.seed)

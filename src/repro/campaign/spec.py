@@ -10,23 +10,25 @@ same shard plan the interrupted run was executing.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar, Dict, Optional, Tuple
 
-from ..fuzz import DEFAULT_OPCODES, SMALL_OPCODES
-from ..ir import Opcode
 from ..opt import OptConfig
 from ..opt.pipelines import CONFIGS, build_pipeline
 from ..opt.resilience import CHAOS_MODES, POLICIES, ChaosEngine
 from ..refine import CheckOptions
+from .corpus import CorpusSpec
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(CorpusSpec):
     """Everything needed to reproduce a campaign from scratch."""
 
     #: campaign kind (see :func:`repro.campaign.executor._resolve_work`).
     kind: ClassVar[str] = "refine"
+    #: shards address corpus indices (see
+    #: :func:`repro.campaign.sharding.plan_shards`).
+    index_shards: ClassVar[bool] = True
 
     #: "enumerate" walks an index range of the exhaustive space;
     #: "random" draws seeded streams (one derived seed per shard).
@@ -35,7 +37,7 @@ class CampaignSpec:
     num_instructions: int = 1
     num_args: int = 2
     #: opcode names (e.g. ``("add", "shl")``); empty = the mode's default
-    #: set (SMALL_OPCODES for enumerate, DEFAULT_OPCODES for random).
+    #: set (see :mod:`repro.campaign.corpus`).
     opcodes: Tuple[str, ...] = ()
     include_deferred: bool = True
     include_flags: bool = False
@@ -116,14 +118,13 @@ class CampaignSpec:
             raise ValueError(f"unknown refinement engine {self.engine!r}")
         if self.sample_inputs is not None and self.sample_inputs <= 0:
             raise ValueError("sample_inputs must be positive")
-        for name in self.opcodes:
-            Opcode(name)  # raises ValueError on an unknown opcode name
+        self.corpus  # raises ValueError on an unknown opcode name
 
     # -- derived configuration --------------------------------------------
-    def resolved_opcodes(self) -> Tuple[Opcode, ...]:
-        if self.opcodes:
-            return tuple(Opcode(name) for name in self.opcodes)
-        return SMALL_OPCODES if self.mode == "enumerate" else DEFAULT_OPCODES
+    def corpus_window(self) -> Dict:
+        if self.mode == "random":
+            return {"limit": self.count, "seed": self.seed}
+        return {"start": self.start, "limit": self.limit}
 
     def make_opt_config(self) -> OptConfig:
         return CONFIGS[self.opt_config]
@@ -193,35 +194,3 @@ class CampaignSpec:
         exists to run."""
         return (self.use_cache and self.chaos_seed is None
                 and not self.cross_check)
-
-    def total_functions(self) -> int:
-        """Size of the corpus this campaign covers (across all shards)."""
-        if self.mode == "random":
-            return self.count
-        from ..fuzz import enumeration_size
-
-        total = enumeration_size(
-            self.num_instructions, width=self.width, num_args=self.num_args,
-            opcodes=self.resolved_opcodes(),
-            include_deferred=self.include_deferred,
-            include_flags=self.include_flags,
-        )
-        total = max(0, total - self.start)
-        if self.limit is not None:
-            total = min(total, self.limit)
-        return total
-
-    # -- serialization ------------------------------------------------------
-    def as_dict(self) -> Dict:
-        data = asdict(self)
-        data["opcodes"] = list(self.opcodes)
-        return data
-
-    @staticmethod
-    def from_dict(data: Dict) -> "CampaignSpec":
-        data = dict(data)
-        data["opcodes"] = tuple(data.get("opcodes", ()))
-        return CampaignSpec(**data)
-
-    def with_(self, **kwargs) -> "CampaignSpec":
-        return replace(self, **kwargs)

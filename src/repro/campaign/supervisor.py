@@ -32,7 +32,7 @@ Determinism: backoff jitter is drawn from a :class:`random.Random`
 seeded at construction, so tests (and the E14 chaos bench) replay the
 same schedule.  Verdict parity is unaffected by construction — a
 restarted shard re-runs :func:`~repro.campaign.worker.run_shard`, whose
-record is a pure function of ``(spec, shard, known_hashes)``.
+record is a pure function of ``(spec, shard)``.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 :func:`run_shard` is the unit the executor schedules, in-process or in a
 persistent worker process.  It is deliberately self-contained and
-deterministic: its result is a pure function of ``(spec, shard,
-known_hashes)``, so a shard produces the same record whether it runs
-first on one worker or last on eight — the property behind the engine's
-worker-count-independent verdict sets.
+deterministic: its result is a pure function of ``(spec, shard)``, so
+a shard produces the same record whether it runs first on one worker or
+last on eight, or in a resumed run — the property behind the engine's
+worker-count- and resume-independent verdict sets.
 
 The returned record is the JSONL checkpoint schema: shard id, status,
 verdict counts, newly discovered ``hash → verdict`` pairs, full
@@ -284,9 +284,12 @@ def run_shard(spec: CampaignSpec, shard: Shard,
               known_hashes: Optional[Dict[str, str]] = None) -> dict:
     """Check every function in ``shard``; returns the checkpoint record.
 
-    ``known_hashes`` preloads the dedup cache (hash → verdict) with
-    functions earlier runs already checked; those — and structural
-    duplicates within the shard — are counted as dedup hits and skipped.
+    Structural duplicates within the shard are counted as dedup hits
+    and skipped; ``known_hashes`` (hash → verdict) preloads the dedup
+    cache for a direct caller.  Campaign runs pass none: shards dedup
+    only within themselves, and the memo replays verdicts across shards
+    and runs, so a resumed campaign counts what an uninterrupted one
+    counts.
     """
     _maybe_crash(shard.shard_id)
     start_time = time.perf_counter()

@@ -313,9 +313,11 @@ def _dispatch(argv: List[str]) -> int:
         old_collector = set_collector(collector)
 
     chaos = _chaos_engine(args)
+    # Chaos implies verify-each, as in campaigns and serve: an injected
+    # IR corruption is rolled back at the faulting pass.
     pm = build_pipeline(
         args.pipeline, config, timing, policy=args.policy,
-        verify_each=args.verify_each,
+        verify_each=args.verify_each or chaos is not None,
         quarantine_after=args.quarantine_after,
         bisect_limit=args.bisect_limit, crash_dir=args.crash_dir,
         chaos=chaos)

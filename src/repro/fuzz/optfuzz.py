@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -149,6 +150,10 @@ def _enum_spaces(num_instructions: int, width: int, num_args: int,
     return tuple(tuple(spec_space(i)) for i in range(num_instructions))
 
 
+def _space_size(spaces: Sequence[Sequence[_Spec]]) -> int:
+    return math.prod(len(space) for space in spaces)
+
+
 def _decode_index(spaces: Sequence[Sequence[_Spec]],
                   index: int) -> Tuple[_Spec, ...]:
     """Mixed-radix decode of a corpus index into one spec per position.
@@ -185,9 +190,7 @@ def enumerate_functions(num_instructions: int, width: int = 2,
     additionally caps the number of functions yielded."""
     spaces = _enum_spaces(num_instructions, width, num_args, tuple(opcodes),
                           include_deferred, include_flags)
-    total = 1
-    for space in spaces:
-        total *= len(space)
+    total = _space_size(spaces)
     start = max(0, start)
     stop = total if stop is None else min(stop, total)
     if limit is not None:
@@ -207,9 +210,7 @@ def function_at_index(index: int, num_instructions: int, width: int = 2,
     ``enumerate_functions`` run would yield at position ``index``."""
     spaces = _enum_spaces(num_instructions, width, num_args, tuple(opcodes),
                           include_deferred, include_flags)
-    total = 1
-    for space in spaces:
-        total *= len(space)
+    total = _space_size(spaces)
     if not 0 <= index < total:
         raise IndexError(f"corpus index {index} out of range [0, {total})")
     return _materialize(_decode_index(spaces, index), width, num_args,
@@ -234,12 +235,9 @@ def enumeration_size(num_instructions: int, width: int = 2,
                      include_flags: bool = False) -> int:
     """Exact size of the :func:`enumerate_functions` space — unlike
     :func:`count_functions` this accounts for ``include_flags``."""
-    spaces = _enum_spaces(num_instructions, width, num_args, tuple(opcodes),
-                          include_deferred, include_flags)
-    total = 1
-    for space in spaces:
-        total *= len(space)
-    return total
+    return _space_size(_enum_spaces(num_instructions, width, num_args,
+                                    tuple(opcodes), include_deferred,
+                                    include_flags))
 
 
 def random_functions(count: int, num_instructions: int = 3,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Set
 
 from .basicblock import BasicBlock
 from .instructions import Instruction
@@ -60,6 +60,12 @@ class Function(Value):
     def num_instructions(self) -> int:
         return sum(len(b) for b in self.blocks)
 
+    def local_names(self) -> Set[str]:
+        """The argument and instruction names in use: the namespace in
+        which the parser rejects a redefinition."""
+        return ({arg.name for arg in self.args}
+                | {inst.name for inst in self.instructions() if inst.name})
+
     def block_by_name(self, name: str) -> Optional[BasicBlock]:
         for block in self.blocks:
             if block.name == name:
@@ -113,3 +119,14 @@ class Function(Value):
     def __repr__(self) -> str:
         kind = "declare" if self.is_declaration else "define"
         return f"<Function {kind} @{self.name}>"
+
+
+def unique_name(base: str, taken: Set[str]) -> str:
+    """``base``, or ``base.N`` with the smallest N, whichever is not in
+    ``taken``; the name returned is added to ``taken``."""
+    name, n = base, 0
+    while name in taken:
+        n += 1
+        name = f"{base}.{n}"
+    taken.add(name)
+    return name

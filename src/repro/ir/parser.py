@@ -247,6 +247,17 @@ class Parser:
             blocks[name] = block
         return block
 
+    def _start_block(self, name: str, blocks: Dict[str, BasicBlock],
+                     fn: Function, line: int) -> BasicBlock:
+        """Append the block a label starts; a label defined twice is an
+        error."""
+        block = self._get_block(name, blocks, fn)
+        if block in fn.blocks:
+            raise ParseError(f"redefinition of label %{name} in @{fn.name}",
+                             line)
+        fn.blocks.append(block)
+        return block
+
     # -- top level ----------------------------------------------------------------
     def parse_module(self) -> Module:
         while not self.at(""):
@@ -318,25 +329,22 @@ class Parser:
         current: Optional[BasicBlock] = None
         while not self.at("}"):
             kind, value, line = self.peek()
-            if kind == "word" and self.tokens[self.pos + 1][1] == ":":
-                self.next()
-                self.next()
-                current = self._get_block(value, blocks, fn)
-                fn.blocks.append(current)
-                continue
-            if kind == "localid" and self.tokens[self.pos + 1][1] == ":":
+            if kind in ("word", "localid") and \
+                    self.tokens[self.pos + 1][1] == ":":
                 # labels may be printed as plain words; accept %-prefixed too
                 self.next()
                 self.next()
-                current = self._get_block(value[1:], blocks, fn)
-                fn.blocks.append(current)
+                current = self._start_block(value.lstrip("%"), blocks, fn,
+                                            line)
                 continue
             if current is None:
-                current = self._get_block("entry", blocks, fn)
-                fn.blocks.append(current)
+                current = self._start_block("entry", blocks, fn, line)
             inst = self.parse_instruction(locals_, blocks, fn, patches)
             current.append(inst)
             if inst.name:
+                if inst.name in locals_:
+                    raise ParseError(
+                        f"redefinition of %{inst.name} in @{name}", line)
                 locals_[inst.name] = inst
         self.expect("}")
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 from ..ir.basicblock import BasicBlock
-from ..ir.function import Function
+from ..ir.function import Function, unique_name
 from ..ir.instructions import (
     AllocaInst,
     BinaryInst,
@@ -92,19 +92,25 @@ def clone_region(fn: Function, blocks: Iterable[BasicBlock],
     Returns (block map, value map).  Operands and branch targets that
     point *inside* the region are remapped; everything else is shared.
     Phi incoming blocks from outside the region are preserved (callers
-    typically rewrite them)."""
+    typically rewrite them).  Blocks are named with ``suffix``; a name
+    ``fn`` already uses gets a number (see :func:`unique_name`)."""
     block_list = list(blocks)
     block_map: Dict[BasicBlock, BasicBlock] = {}
     value_map: Dict[Value, Value] = {}
+    labels = {block.name for block in fn.blocks}
+    taken = fn.local_names()
 
     for block in block_list:
-        clone = BasicBlock(block.name + suffix, parent=fn)
+        clone = BasicBlock(unique_name(block.name + suffix, labels),
+                           parent=fn)
         block_map[block] = clone
 
     for block in block_list:
         clone = block_map[block]
         for inst in block.instructions:
             new_inst = clone_instruction(inst)
+            if new_inst.name:
+                new_inst.name = unique_name(new_inst.name, taken)
             clone.append(new_inst)
             value_map[inst] = new_inst
 

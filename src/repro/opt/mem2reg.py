@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set
 
 from ..analysis.dominators import DominatorTree
 from ..ir.basicblock import BasicBlock
-from ..ir.function import Function
+from ..ir.function import Function, unique_name
 from ..ir.instructions import (
     AllocaInst,
     Instruction,
@@ -91,9 +91,11 @@ class Mem2Reg(FunctionPass):
                     work.append(frontier)
 
         phis: Dict[BasicBlock, PhiInst] = {}
-        for block in phi_blocks:
+        taken = fn.local_names()
+        # in block order, so the names are a function of the input
+        for block in (b for b in fn.blocks if b in phi_blocks):
             phi = PhiInst(alloca.allocated_type,
-                          (alloca.name or "mem") + ".phi")
+                          unique_name((alloca.name or "mem") + ".phi", taken))
             block.instructions.insert(0, phi)
             phi.parent = block
             phis[block] = phi

@@ -90,6 +90,12 @@ def build_pipeline(name: str = "o2", config: Optional[OptConfig] = None,
     :class:`~repro.opt.resilience.ChaosPass` sharing it, and the
     manager's ``seed`` is the engine's, so crash bundles record the
     fault schedule.
+
+    Verify-each is the caller's choice, chaos or not.  The compile CLI,
+    campaigns and serve turn it on under chaos, so an injected IR
+    corruption is rolled back at the faulting pass; the bisect CLI does
+    not, because it finds an injected corruption by the final verify,
+    which a rollback would hide.
     """
     if name not in PIPELINES:
         raise ValueError(f"unknown pass {name!r}")

@@ -109,7 +109,6 @@ class AsyncShardPool:
 
     # -- submission --------------------------------------------------------
     def submit(self, spec: CampaignSpec, shard: Shard,
-               known_hashes=None,
                deadline: Optional[float] = None) -> "asyncio.Future":
         """Submit one shard; returns a future resolving to its record.
 
@@ -118,8 +117,7 @@ class AsyncShardPool:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         with self._lock:
-            job_id = self.executor.submit(spec, shard, known_hashes,
-                                          deadline=deadline)
+            job_id = self.executor.submit(spec, shard, deadline=deadline)
             self._pending[job_id] = (loop, future)
         self._ensure_thread()
         self._wake.set()

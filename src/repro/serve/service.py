@@ -327,10 +327,8 @@ class ValidationService:
                 "bad-request",
                 f"unknown spec fields: {', '.join(sorted(unknown))}")
         data.update({k: v for k, v in spec_in.items() if k in _SPEC_FIELDS})
-        if "opcodes" in data and data["opcodes"] is not None:
-            data["opcodes"] = tuple(data["opcodes"])
         try:
-            return CampaignSpec(**data)
+            return CampaignSpec.from_dict(data)
         except (ValueError, TypeError) as e:
             raise ServiceError("bad-request", f"bad spec: {e}")
 

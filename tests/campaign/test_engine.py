@@ -119,6 +119,26 @@ class TestResume:
         assert resumed.checked == 128
         assert resumed.verdict_lines() == legacy_summary.verdict_lines()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resumed_random_campaign_reports_uninterrupted_totals(
+            self, tmp_path, workers):
+        # Random streams repeat functions across shards; a resumed run
+        # must count those as checks, as the uninterrupted run does,
+        # not as dedup hits against the done shards' log.
+        spec = CampaignSpec(mode="random", num_instructions=1, count=256,
+                            shard_size=32, seed=3, include_flags=True)
+        whole = run_campaign(spec, out_dir=str(tmp_path / "whole"))
+        out = str(tmp_path / "resumed")
+        run_campaign(spec, out_dir=out, workers=workers, stop_after=4)
+        resumed = run_campaign(spec, out_dir=out, workers=workers,
+                               resume=True)
+        assert resumed.shards_skipped == 4
+        for total in ("checked", "dedup_hits", "verified", "failed",
+                      "inconclusive", "timeout"):
+            assert getattr(resumed, total) == getattr(whole, total), total
+        assert resumed.counterexamples == whole.counterexamples
+        assert resumed.verdict_lines() == whole.verdict_lines()
+
     def test_resume_after_everything_done_runs_nothing(self, tmp_path):
         out = str(tmp_path)
         run_campaign(LEGACY_SPEC, out_dir=out)

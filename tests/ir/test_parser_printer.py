@@ -233,6 +233,27 @@ class TestParseErrors:
                 "define void @f() {\nentry:\n  call void @nope()\n  ret void\n}"
             )
 
+    def test_redefined_local_name(self):
+        with pytest.raises(ParseError, match="redefinition of %x"):
+            parse_function(
+                "define i8 @f(i8 %a) {\nentry:\n  %x = add i8 %a, 1\n"
+                "  %x = add i8 %a, 2\n  ret i8 %x\n}"
+            )
+
+    def test_instruction_redefining_an_argument(self):
+        with pytest.raises(ParseError, match="redefinition of %a"):
+            parse_function(
+                "define i8 @f(i8 %a) {\nentry:\n  %a = add i8 %a, 1\n"
+                "  ret i8 %a\n}"
+            )
+
+    def test_redefined_label(self):
+        with pytest.raises(ParseError, match="redefinition of label %b"):
+            parse_function(
+                "define void @f() {\nentry:\n  br label %b\nb:\n"
+                "  br label %b\nb:\n  ret void\n}"
+            )
+
     def test_type_mismatch_in_store(self):
         with pytest.raises(ValueError):
             parse_function(

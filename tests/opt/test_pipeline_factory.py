@@ -126,6 +126,30 @@ class TestGuardRule:
         assert rc == 0
         assert json.loads(out)["resilience"]["policy"] == "recover"
 
+    def test_compile_chaos_implies_verify_each(self, capsys):
+        # Without verify-each an injected corruption survives to the
+        # final verify and the compile exits 2.
+        rc, out, _ = _compile(capsys, "--chaos", "--chaos-rate", "1.0",
+                              "--json")
+        assert rc == 0
+        resilience = json.loads(out)["resilience"]
+        assert resilience["verify_each"] is True
+        assert resilience["policy"] == "recover"
+
+    def test_bisect_chaos_leaves_verify_each_off(self, monkeypatch):
+        import repro.cli as cli
+
+        built = []
+        real = cli.build_pipeline
+
+        def spy(*args, **kwargs):
+            built.append(kwargs.get("verify_each", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_pipeline", spy)
+        repro_main(["bisect", EXAMPLE, "--chaos", "--chaos-rate", "1.0"])
+        assert built and not any(built)
+
     def test_nothing_asked_is_plain(self):
         pm = build_pipeline("o2")
         assert type(pm) is PassManager
