@@ -67,11 +67,11 @@ def canonical_hash(fn: Union[Function, str]) -> str:
 class DedupCache:
     """Hash → verdict map with hit/miss accounting.
 
-    The campaign coordinator preloads it with every hash recorded by
-    earlier runs (the persisted dedup log) before shards launch, so the
-    preloaded set is identical no matter how many workers execute the
-    shards — a requirement for worker-count-independent verdict sets.
-    Shards then add their own discoveries locally.
+    Each shard builds its own, empty unless a direct caller passes
+    ``known`` hashes: shards dedup only within themselves, so a shard's
+    hits never depend on which worker ran it or on what earlier runs
+    checked.  The memo, not this cache, replays verdicts across shards
+    and runs.
     """
 
     def __init__(self, known: Optional[Dict[str, str]] = None):

@@ -13,8 +13,10 @@ re-runs the shard whose record was lost.
   and a stats-registry delta.  The last record for a shard id wins, so
   a retried shard simply appends its new outcome.
 * ``dedup.jsonl``     — one ``{"hash": ..., "verdict": ...}`` line per
-  newly checked canonical hash; preloaded into the dedup cache on
-  resume so previously checked functions are never re-verified.
+  newly checked canonical hash, a record of what the run checked.
+  Resume does not read it back: shards dedup only within themselves,
+  and the memo replays verdicts across shards and runs, so a resumed
+  campaign counts what an uninterrupted one counts.
 """
 
 from __future__ import annotations

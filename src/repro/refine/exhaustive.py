@@ -211,8 +211,6 @@ class CheckOptions:
     poison_inputs: bool = True
     #: include undef among argument values (OLD-semantics checks only)
     undef_inputs: bool = True
-    #: enumerate initial contents of globals
-    vary_globals: bool = True
     #: include poison bits among initial memory contents.  Whether
     #: memory can hold poison at all was itself ambiguous pre-paper;
     #: turning this off models the no-poison-in-memory reading.
@@ -226,10 +224,6 @@ class CheckOptions:
     #: behavior's undef bits; exceeding it makes that input (and hence
     #: the check) inconclusive rather than silently deciding either way
     undef_expansion_cap: int = 4096
-    #: stop enumerating a source input's nondeterminism once UB is
-    #: observed (UB licenses everything, so the rest of the behavior set
-    #: cannot change the verdict)
-    prune_src_ub: bool = True
     #: absolute :func:`time.monotonic` instant after which the check
     #: aborts with an inconclusive ``request deadline`` verdict.  Set
     #: per request by the serve layer — never derived from the spec, so
@@ -251,7 +245,8 @@ class CheckOptions:
 
 def _global_inits(src: Function, config: SemanticsConfig,
                   options: CheckOptions) -> List[Dict[str, Bits]]:
-    if src.module is None or not src.module.globals or not options.vary_globals:
+    """Every initial-contents assignment of the uninitialized globals."""
+    if src.module is None or not src.module.globals:
         return [dict()]
     per_global: List[List[Tuple[str, Bits]]] = []
     for name, g in sorted(src.module.globals.items()):
@@ -452,11 +447,13 @@ def _check_refinement(src: Function, tgt: Function,
         checked += 1
         t0 = clock()
         try:
+            # Source UB licenses everything, so the rest of the source's
+            # nondeterminism cannot change the verdict: stop there.
             src_b = enumerate_behaviors(
                 src, args, config, global_init=ginit,
                 max_paths=options.max_paths,
                 max_choices=options.max_choices, fuel=options.fuel,
-                plans=src_plans, stop_on_ub=options.prune_src_ub,
+                plans=src_plans, stop_on_ub=True,
             )
             t1 = clock()
             tgt_b = enumerate_behaviors(

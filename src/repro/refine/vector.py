@@ -266,7 +266,7 @@ def check_refinement_vector(src: Function, tgt: Function,
     src_b = enumerate_behaviors(
         src, args, config, global_init={},
         max_paths=options.max_paths, max_choices=options.max_choices,
-        fuel=options.fuel, stop_on_ub=options.prune_src_ub,
+        fuel=options.fuel, stop_on_ub=True,
     )
     tgt_b = enumerate_behaviors(
         tgt, args, tgt_config, global_init={},

@@ -8,6 +8,10 @@ surfaced either through :meth:`stream` (a generator) or an
 :class:`ServeError` carrying the wire error code, so callers can tell
 backpressure (``queue-full``) from a deadline (``timeout``) from a
 worker crash (``crashed``).
+
+The op wrappers (``ping`` … ``campaign``) and ``collect`` live once, on
+:class:`ClientOps`, which :class:`ServeClient` and
+:class:`~repro.serve.retry.RetryingClient` both extend.
 """
 
 from __future__ import annotations
@@ -31,7 +35,79 @@ class ServeError(Exception):
         self.code = code
 
 
-class ServeClient:
+class ClientOps:
+    """The op wrappers and lifecycle every client shares.
+
+    Subclasses supply :meth:`request` (one request, the ``done``
+    payload back, chunks to ``on_chunk``) and :meth:`close`; everything
+    below is built on those two, so a retrying client retries every op
+    and ``collect`` alike.
+    """
+
+    def request(self, op: str, payload: Optional[Dict[str, Any]] = None,
+                on_chunk: Optional[Callable[[Dict[str, Any]], None]] = None
+                ) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        raise NotImplementedError
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def collect(self, op: str, payload: Optional[Dict[str, Any]] = None
+                ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+        """``(chunks, done)`` for one request — the test-friendly shape."""
+        chunks: List[Dict[str, Any]] = []
+        done = self.request(op, payload, on_chunk=chunks.append)
+        return chunks, done
+
+    def ping(self) -> Dict[str, Any]:
+        return self.request("ping")
+
+    def health(self) -> Dict[str, Any]:
+        return self.request("health")
+
+    def metrics(self) -> Dict[str, Any]:
+        return self.request("metrics")
+
+    def stats(self) -> Dict[str, Any]:
+        return self.request("stats")
+
+    def parse(self, source: str, **payload) -> Dict[str, Any]:
+        return self.request("parse", {"source": source, **payload})
+
+    def optimize(self, source: str, **payload) -> Dict[str, Any]:
+        return self.request("optimize", {"source": source, **payload})
+
+    def lint(self, source: str,
+             on_finding: Optional[Callable[[Dict], None]] = None,
+             **payload) -> Dict[str, Any]:
+        return self.request("lint", {"source": source, **payload},
+                            on_chunk=on_finding)
+
+    def refine(self, sources, on_result=None, **payload) -> Dict[str, Any]:
+        if isinstance(sources, str):
+            sources = [sources]
+        return self.request("refine",
+                            {"functions": list(sources), **payload},
+                            on_chunk=on_result)
+
+    def refine_pair(self, source: str, target: str,
+                    **payload) -> Dict[str, Any]:
+        return self.request("refine", {"source": source, "target": target,
+                                       **payload})
+
+    def campaign(self, spec: Dict[str, Any], on_shard=None,
+                 **payload) -> Dict[str, Any]:
+        return self.request("campaign", {"spec": spec, **payload},
+                            on_chunk=on_shard)
+
+
+class ServeClient(ClientOps):
     """One connection speaking the NDJSON request/response protocol."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8371,
@@ -73,9 +149,6 @@ class ServeClient:
 
     def __enter__(self) -> "ServeClient":
         return self.connect()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- the protocol --------------------------------------------------------
     def stream(self, op: str, payload: Optional[Dict[str, Any]] = None
@@ -138,57 +211,3 @@ class ServeClient:
             raise ServeError(
                 "internal", "server closed the connection mid-request")
         return line
-
-    # -- convenience wrappers ------------------------------------------------
-    def ping(self) -> Dict[str, Any]:
-        return self.request("ping")
-
-    def health(self) -> Dict[str, Any]:
-        return self.request("health")
-
-    def metrics(self) -> Dict[str, Any]:
-        return self.request("metrics")
-
-    def stats(self) -> Dict[str, Any]:
-        return self.request("stats")
-
-    def parse(self, source: str, **payload) -> Dict[str, Any]:
-        return self.request("parse", {"source": source, **payload})
-
-    def optimize(self, source: str, **payload) -> Dict[str, Any]:
-        return self.request("optimize", {"source": source, **payload})
-
-    def lint(self, source: str,
-             on_finding: Optional[Callable[[Dict], None]] = None,
-             **payload) -> Dict[str, Any]:
-        return self.request("lint", {"source": source, **payload},
-                            on_chunk=on_finding)
-
-    def refine(self, sources, on_result=None, **payload) -> Dict[str, Any]:
-        if isinstance(sources, str):
-            sources = [sources]
-        return self.request("refine",
-                            {"functions": list(sources), **payload},
-                            on_chunk=on_result)
-
-    def refine_pair(self, source: str, target: str,
-                    **payload) -> Dict[str, Any]:
-        return self.request("refine", {"source": source, "target": target,
-                                       **payload})
-
-    def campaign(self, spec: Dict[str, Any], on_shard=None,
-                 **payload) -> Dict[str, Any]:
-        return self.request("campaign", {"spec": spec, **payload},
-                            on_chunk=on_shard)
-
-    def collect(self, op: str, payload: Optional[Dict[str, Any]] = None
-                ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-        """``(chunks, done)`` for one request — the test-friendly shape."""
-        chunks: List[Dict[str, Any]] = []
-        done: Dict[str, Any] = {}
-        for kind, data in self.stream(op, payload):
-            if kind == "chunk":
-                chunks.append(data)
-            else:
-                done = data
-        return chunks, done

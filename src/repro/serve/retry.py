@@ -10,19 +10,20 @@ with the three standard client-side containment tools:
   the E14 chaos bench replay identical schedules.  Semantic failures
   (``bad-request``, ``parse-error``, ``bad-payload``, ``unknown-op``,
   ``crashed``) never retry — the same request would fail the same way.
-  ``timeout`` does not retry by default either: the budget belonged to
-  the request, not to the transport.
+  ``timeout`` does not retry either: the budget belonged to the
+  request, not to the transport.  The retryable set is the fixed
+  :data:`RETRYABLE_CODES`.
 * **idempotency keys** — every request carries a unique
   ``idempotency_key``; a retry re-sends the *same* key, so the server
   can answer a duplicate (first attempt's response lost in transit)
   from its replay cache instead of re-running the work.  This is safe
   precisely because verdicts are deterministic: replaying a response is
   indistinguishable from recomputing it.
-* **a per-server circuit breaker** — after ``failure_threshold``
+* **a per-server circuit breaker** — after ``failure_threshold`` (5)
   consecutive transport-level failures the breaker *opens* and requests
   shed immediately as ``queue-full`` (the backpressure code clients
   already handle) without touching the socket.  After
-  ``reset_timeout`` seconds one trial request is allowed through
+  ``reset_timeout`` (10) seconds one trial request is allowed through
   (*half-open*); success closes the breaker, failure re-opens it.
   Breakers are shared per ``(host, port)`` across every
   :class:`RetryingClient` in the process, so one hammering loop cannot
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 from ..diag import Statistic
-from .client import ServeClient, ServeError
+from .client import ClientOps, ServeClient, ServeError
 
 NUM_RETRIES = Statistic(
     "serve-client", "num-retries",
@@ -76,10 +77,6 @@ class RetryPolicy:
     jitter: float = 0.5
     #: jitter RNG seed (deterministic schedules for tests/benches).
     seed: int = 0
-    #: wire error codes that justify a retry.
-    retry_codes: FrozenSet[str] = RETRYABLE_CODES
-    #: attach idempotency keys to requests (retries re-use the key).
-    idempotency: bool = True
 
 
 class CircuitBreaker:
@@ -152,14 +149,12 @@ _breakers: Dict[Tuple[str, int], CircuitBreaker] = {}
 _breakers_lock = threading.Lock()
 
 
-def breaker_for(host: str, port: int,
-                failure_threshold: int = 5,
-                reset_timeout: float = 10.0) -> CircuitBreaker:
+def breaker_for(host: str, port: int) -> CircuitBreaker:
     """The process-wide breaker for one server endpoint."""
     with _breakers_lock:
         breaker = _breakers.get((host, port))
         if breaker is None:
-            breaker = CircuitBreaker(failure_threshold, reset_timeout)
+            breaker = CircuitBreaker()
             _breakers[(host, port)] = breaker
         return breaker
 
@@ -170,13 +165,13 @@ def reset_breakers() -> None:
         _breakers.clear()
 
 
-class RetryingClient:
+class RetryingClient(ClientOps):
     """A :class:`ServeClient` with retries, idempotency, and breaking.
 
-    Usable as a drop-in for ``request``/``collect`` and the convenience
-    wrappers; ``stream`` is deliberately absent — a half-consumed
-    stream is not safely re-sendable, so streaming callers own their
-    retry loop.
+    Shares :class:`ClientOps` with :class:`ServeClient`, so every op
+    wrapper and ``collect`` go through the retry loop; ``stream`` is
+    deliberately absent — a half-consumed stream is not safely
+    re-sendable, so streaming callers own their retry loop.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8371,
@@ -192,23 +187,15 @@ class RetryingClient:
         self._rng = random.Random(self.policy.seed)
         self.retries = 0
 
-    # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
         self._client.close()
-
-    def __enter__(self) -> "RetryingClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- the retry loop ------------------------------------------------------
     def request(self, op: str, payload: Optional[Dict[str, Any]] = None,
                 on_chunk: Optional[Callable[[Dict[str, Any]], None]] = None
                 ) -> Dict[str, Any]:
         payload = dict(payload or {})
-        if self.policy.idempotency and "idempotency_key" not in payload:
-            payload["idempotency_key"] = make_idempotency_key()
+        payload.setdefault("idempotency_key", make_idempotency_key())
         last: Optional[ServeError] = None
         for attempt in range(1, self.policy.max_attempts + 1):
             if not self.breaker.allow():
@@ -226,7 +213,7 @@ class RetryingClient:
                 if e.code in ("internal", "bad-frame"):
                     # transport-level: the server may be down
                     self.breaker.record_failure()
-                if (e.code not in self.policy.retry_codes
+                if (e.code not in RETRYABLE_CODES
                         or attempt >= self.policy.max_attempts):
                     raise
                 self.retries += 1
@@ -240,54 +227,8 @@ class RetryingClient:
             return result
         raise last  # pragma: no cover — loop always returns or raises
 
-    def collect(self, op: str, payload: Optional[Dict[str, Any]] = None
-                ) -> Tuple[list, Dict[str, Any]]:
-        chunks: list = []
-        done = self.request(op, payload, on_chunk=chunks.append)
-        return chunks, done
-
     def _backoff(self, attempt: int) -> float:
         base = min(self.policy.backoff_cap,
                    self.policy.backoff_base * (2 ** (attempt - 1)))
         spread = base * self.policy.jitter
         return max(0.0, base + self._rng.uniform(-spread, spread))
-
-    # -- convenience wrappers (mirror ServeClient) ---------------------------
-    def ping(self) -> Dict[str, Any]:
-        return self.request("ping")
-
-    def health(self) -> Dict[str, Any]:
-        return self.request("health")
-
-    def metrics(self) -> Dict[str, Any]:
-        return self.request("metrics")
-
-    def stats(self) -> Dict[str, Any]:
-        return self.request("stats")
-
-    def parse(self, source: str, **payload) -> Dict[str, Any]:
-        return self.request("parse", {"source": source, **payload})
-
-    def optimize(self, source: str, **payload) -> Dict[str, Any]:
-        return self.request("optimize", {"source": source, **payload})
-
-    def lint(self, source: str, on_finding=None, **payload) -> Dict[str, Any]:
-        return self.request("lint", {"source": source, **payload},
-                            on_chunk=on_finding)
-
-    def refine(self, sources, on_result=None, **payload) -> Dict[str, Any]:
-        if isinstance(sources, str):
-            sources = [sources]
-        return self.request("refine",
-                            {"functions": list(sources), **payload},
-                            on_chunk=on_result)
-
-    def refine_pair(self, source: str, target: str,
-                    **payload) -> Dict[str, Any]:
-        return self.request("refine", {"source": source, "target": target,
-                                       **payload})
-
-    def campaign(self, spec: Dict[str, Any], on_shard=None,
-                 **payload) -> Dict[str, Any]:
-        return self.request("campaign", {"spec": spec, **payload},
-                            on_chunk=on_shard)

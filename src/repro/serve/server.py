@@ -98,10 +98,6 @@ class ValidationServer:
         await self._draining.wait()
         await self.shutdown(drain_timeout)
 
-    def request_drain(self) -> None:
-        """Trip the drain from anywhere (tests, admin endpoints)."""
-        self._draining.set()
-
     async def shutdown(self, drain_timeout: float = 30.0) -> bool:
         """Reject new work, let in-flight finish, close the listener.
 
@@ -195,7 +191,12 @@ class ValidationServer:
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         body = b""
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            await _http_simple(writer, 400, {
+                "error": f"bad Content-Length {raw_length!r}"})
+            return
+        length = int(raw_length)
         if length:
             if length > _LINE_LIMIT:
                 await _http_simple(writer, 413, {"error": "body too large"})

@@ -24,8 +24,12 @@ request:
 Requests come in through :meth:`run_request`, which brackets the
 handler with admission, a serve-layer span, the request-latency
 histogram, and a per-request timeout (``payload["timeout"]`` or the
-service default).  Handlers stream incremental results by awaiting the
-``emit`` callback; their return value is the terminal ``done`` payload.
+service default).  Every handler is called as ``handler(payload,
+emit, deadline)`` — ungated ops get ``None`` for the deadline.
+Handlers stream incremental results by awaiting the ``emit`` callback;
+their return value is the terminal ``done`` payload.  Blocking check
+work leaves the event loop through one helper, :meth:`_off_loop`,
+which holds a check slot for the thread hop.
 Failures surface as :class:`ServiceError` with a wire error code —
 transports map those to error frames / HTTP statuses, never to a
 dropped connection.
@@ -39,7 +43,6 @@ byte-for-byte the batch CLI's verdict for the same source and budgets.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import threading
 import time
 from collections import OrderedDict
@@ -101,6 +104,12 @@ UNGATED_OPS = frozenset({"ping", "health", "metrics", "stats"})
 
 _SPEC_FIELDS = frozenset(f.name for f in dataclass_fields(CampaignSpec))
 
+#: completed ``done`` payloads remembered per ``(op, idempotency_key)``
+#: (LRU); a client retry whose first attempt actually finished is
+#: answered from here instead of re-running the work.  Safe because
+#: verdicts are deterministic.
+IDEMPOTENCY_CACHE = 256
+
 
 class ServiceError(Exception):
     """A request failure with a wire error code (see protocol.ERROR_CODES)."""
@@ -131,11 +140,6 @@ class ServiceConfig:
     memo_dir: Optional[str] = None
     #: concurrent in-process check threads (refine/lint/optimize).
     check_threads: int = 2
-    #: completed ``done`` payloads remembered per ``idempotency_key``
-    #: (LRU); a client retry whose first attempt actually finished is
-    #: answered from here instead of re-running the work.  Safe because
-    #: verdicts are deterministic.  0 disables.
-    idempotency_cache: int = 256
 
 
 class ValidationService:
@@ -207,7 +211,7 @@ class ValidationService:
         if handler is None:
             raise ServiceError("unknown-op", f"unknown op {op!r}")
         if op in UNGATED_OPS:
-            return await handler(payload, emit)
+            return await handler(payload, emit, None)
         idem_key = payload.get("idempotency_key")
         if not isinstance(idem_key, str):
             idem_key = None
@@ -245,8 +249,7 @@ class ValidationService:
                 sp.set(op=op)
                 try:
                     result = await asyncio.wait_for(
-                        self._call(handler, payload,
-                                   self._counted(emit), deadline),
+                        handler(payload, self._counted(emit), deadline),
                         timeout=timeout)
                 except asyncio.TimeoutError:
                     NUM_TIMEOUTS.inc()
@@ -254,11 +257,10 @@ class ValidationService:
                         "timeout",
                         f"request exceeded its {timeout}s deadline")
             NUM_COMPLETED.inc()
-            if idem_key is not None and self.config.idempotency_cache > 0:
+            if idem_key is not None:
                 self._idempotency[(op, idem_key)] = result
                 self._idempotency.move_to_end((op, idem_key))
-                while (len(self._idempotency)
-                       > self.config.idempotency_cache):
+                while len(self._idempotency) > IDEMPOTENCY_CACHE:
                     self._idempotency.popitem(last=False)
             return result
         except ServiceError:
@@ -279,27 +281,17 @@ class ValidationService:
             self.gate.release()
 
     @staticmethod
-    def _call(handler, payload, emit, deadline):
-        """Invoke a handler, forwarding the deadline only when it is
-        declared — externally-injected handlers with the older
-        ``(payload, emit)`` shape keep working."""
-        try:
-            params = inspect.signature(handler).parameters
-        except (TypeError, ValueError):
-            params = {}
-        if "deadline" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in params.values()):
-            return handler(payload, emit, deadline=deadline)
-        return handler(payload, emit)
-
-    @staticmethod
     def _counted(emit):
         async def counted(chunk: Dict[str, Any]) -> None:
             NUM_CHUNKS.inc()
             await emit(chunk)
 
         return counted
+
+    async def _off_loop(self, work: Callable[[], Any]) -> Any:
+        """Run blocking check work on a thread, holding one check slot."""
+        async with self._check_slots:
+            return await asyncio.to_thread(work)
 
     # -- shared-cache plumbing ----------------------------------------------
     def memo_for(self, spec: CampaignSpec) -> Optional[RefinementMemo]:
@@ -333,9 +325,7 @@ class ValidationService:
             raise ServiceError("bad-request", f"bad spec: {e}")
 
     # -- ungated ops --------------------------------------------------------
-    async def _op_ping(self, payload, emit,
-                       deadline: Optional[Deadline] = None
-                       ) -> Dict[str, Any]:
+    async def _op_ping(self, payload, emit, deadline) -> Dict[str, Any]:
         with self._memos_lock:
             warm = sum(len(m) for m in self._memos.values())
         return {
@@ -349,24 +339,18 @@ class ValidationService:
             "supervisor": self.pool.supervisor.report(),
         }
 
-    async def _op_metrics(self, payload, emit,
-                          deadline: Optional[Deadline] = None
-                          ) -> Dict[str, Any]:
+    async def _op_metrics(self, payload, emit, deadline) -> Dict[str, Any]:
         snapshot = metrics_snapshot()
         return {
             "prometheus": render_prometheus(snapshot),
             "snapshot": snapshot,
         }
 
-    async def _op_stats(self, payload, emit,
-                        deadline: Optional[Deadline] = None
-                        ) -> Dict[str, Any]:
+    async def _op_stats(self, payload, emit, deadline) -> Dict[str, Any]:
         return {"stats": stats_snapshot(nonzero_only=True)}
 
     # -- in-process ops (parse / optimize / lint) ---------------------------
-    async def _op_parse(self, payload, emit,
-                        deadline: Optional[Deadline] = None
-                        ) -> Dict[str, Any]:
+    async def _op_parse(self, payload, emit, deadline) -> Dict[str, Any]:
         source = _require_source(payload)
 
         def work():
@@ -377,12 +361,9 @@ class ValidationService:
                 "ir": print_module(module),
             }
 
-        async with self._check_slots:
-            return await asyncio.to_thread(work)
+        return await self._off_loop(work)
 
-    async def _op_optimize(self, payload, emit,
-                           deadline: Optional[Deadline] = None
-                           ) -> Dict[str, Any]:
+    async def _op_optimize(self, payload, emit, deadline) -> Dict[str, Any]:
         source = _require_source(payload)
         spec = self._spec_from(payload, defaults={
             "pipeline": payload.get("pipeline", "o2"),
@@ -411,12 +392,9 @@ class ValidationService:
                     getattr(pm, "quarantined", ()))
             return result
 
-        async with self._check_slots:
-            return await asyncio.to_thread(work)
+        return await self._off_loop(work)
 
-    async def _op_lint(self, payload, emit,
-                       deadline: Optional[Deadline] = None
-                       ) -> Dict[str, Any]:
+    async def _op_lint(self, payload, emit, deadline) -> Dict[str, Any]:
         source = _require_source(payload)
         rules = payload.get("rules")
         want_sarif = bool(payload.get("sarif", False))
@@ -426,8 +404,7 @@ class ValidationService:
             module = parse_module(source)
             return lint_module(module, rules=rules, file=file_name)
 
-        async with self._check_slots:
-            diags = await asyncio.to_thread(work)
+        diags = await self._off_loop(work)
         for diag in diags:
             await emit({"finding": diag.as_dict()})
         worst = ""
@@ -439,9 +416,7 @@ class ValidationService:
         return result
 
     # -- refine -------------------------------------------------------------
-    async def _op_refine(self, payload, emit,
-                         deadline: Optional[Deadline] = None
-                         ) -> Dict[str, Any]:
+    async def _op_refine(self, payload, emit, deadline) -> Dict[str, Any]:
         if "target" in payload:
             return await self._refine_pair(payload, deadline)
         sources = payload.get("functions")
@@ -518,8 +493,7 @@ class ValidationService:
                 memo.flush()
             return outcomes
 
-        async with self._check_slots:
-            outcomes = await asyncio.to_thread(work)
+        outcomes = await self._off_loop(work)
         for (_item, future), outcome in zip(batch, outcomes):
             if future.done():
                 continue
@@ -528,9 +502,7 @@ class ValidationService:
             else:
                 future.set_result(outcome)
 
-    async def _refine_pair(self, payload,
-                           deadline: Optional[Deadline] = None
-                           ) -> Dict[str, Any]:
+    async def _refine_pair(self, payload, deadline) -> Dict[str, Any]:
         from ..ir import parse_function
 
         src_text = _require_source(payload)
@@ -570,13 +542,10 @@ class ValidationService:
                     cex.as_dict() if hasattr(cex, "as_dict") else str(cex))
             return out
 
-        async with self._check_slots:
-            return await asyncio.to_thread(work)
+        return await self._off_loop(work)
 
     # -- campaign -----------------------------------------------------------
-    async def _op_campaign(self, payload, emit,
-                           deadline: Optional[Deadline] = None
-                           ) -> Dict[str, Any]:
+    async def _op_campaign(self, payload, emit, deadline) -> Dict[str, Any]:
         spec = self._spec_from(payload)
         if (spec.use_cache and spec.cache_dir is None
                 and self.config.memo_dir):

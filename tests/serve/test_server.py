@@ -170,6 +170,23 @@ class TestHTTPTransport:
 
         with_server(scenario)
 
+    def test_malformed_content_length_is_a_400(self):
+        def scenario(host, port):
+            for length in (b"abc", b"-5"):
+                with socket.create_connection((host, port),
+                                              timeout=30) as s:
+                    s.sendall(b"POST /api/v1/parse HTTP/1.1\r\n"
+                              b"Content-Length: " + length + b"\r\n\r\n")
+                    reply = s.makefile("rb").read()
+                assert reply.startswith(b"HTTP/1.1 400 "), (length, reply)
+                body = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+                assert "Content-Length" in body["error"]
+            with urllib.request.urlopen(
+                    f"http://{host}:{port}/healthz") as r:
+                assert r.status == 200
+
+        with_server(scenario)
+
 
 class TestWorkerCrash:
     def test_crash_mid_campaign_is_a_structured_record(self, monkeypatch):

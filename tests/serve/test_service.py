@@ -319,16 +319,18 @@ class TestRequestDiscipline:
                                batch_linger=0.0)
 
         async def scenario(service):
+            entered = asyncio.Event()
             release = asyncio.Event()
 
-            async def slow(payload, emit):
+            async def slow(payload, emit, deadline):
+                entered.set()
                 await release.wait()
                 return {}
 
             service._handlers["parse"] = slow
             task = asyncio.ensure_future(call(service, "parse",
                                               {"source": SRC}))
-            await asyncio.sleep(0.02)
+            await entered.wait()
             with pytest.raises(ServiceError) as err:
                 await call(service, "lint", {"source": SRC})
             assert err.value.code == "queue-full"
@@ -342,15 +344,17 @@ class TestRequestDiscipline:
 
     def test_draining_rejects_but_finishes_inflight(self):
         async def scenario(service):
+            entered = asyncio.Event()
             release = asyncio.Event()
 
-            async def slow(payload, emit):
+            async def slow(payload, emit, deadline):
+                entered.set()
                 await release.wait()
                 return {"slow": True}
 
             service._handlers["parse"] = slow
             task = asyncio.ensure_future(call(service, "parse", {}))
-            await asyncio.sleep(0.02)
+            await entered.wait()
             service.start_drain()
             with pytest.raises(ServiceError) as err:
                 await call(service, "lint", {"source": SRC})
@@ -364,7 +368,7 @@ class TestRequestDiscipline:
 
     def test_internal_errors_are_structured(self):
         async def scenario(service):
-            async def broken(payload, emit):
+            async def broken(payload, emit, deadline):
                 raise ZeroDivisionError("surprise")
 
             service._handlers["parse"] = broken
