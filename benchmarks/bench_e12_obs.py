@@ -1,6 +1,6 @@
 """E12 — observability overhead and trace-validity gates.
 
-Measures the span/metrics/flight-recorder layer against the E5 smoke
+Measures the span/flight-recorder layer against the E5 smoke
 campaign (complete 1-instruction i2 corpus through fixed-config
 InstCombine) and writes a ``BENCH_e12.json`` trajectory that later PRs
 are held to:
@@ -9,7 +9,7 @@ are held to:
   disabled collector — the fast path every hot loop pays when no one
   is watching (must stay the shared ``NULL_SPAN`` no-op);
 * **tracing-on overhead**: best-of-N process CPU time of the smoke
-  campaign with ``trace_dir`` streaming spans + metrics vs the
+  campaign with ``trace_dir`` streaming spans vs the
   identical untraced run, as a ratio.  The A/B runs in-process
   (workers=1) and gates on ``time.process_time`` rather than wall
   clock: tracing overhead is pure CPU, and CPU time is immune to the
@@ -21,8 +21,8 @@ are held to:
 * **trace validity**: a separate 2-worker-process traced run must
   stream per-shard span files that merge into a Chrome trace spanning
   at least two OS processes with all instrumented layers present, the
-  profile report must render, and the per-shard metrics series must
-  sum to the campaign's true totals.
+  profile report must render, and the stats rendered from the
+  campaign's checkpoint records must count every corpus function.
 
 The script is also the CI gate: it exits nonzero if verdicts differ,
 if the disabled fast path stops being the ``NULL_SPAN`` singleton, if
@@ -48,8 +48,8 @@ import tempfile
 import time
 
 from provenance import stamp
-from repro.campaign import CampaignSpec, CampaignRunner
-from repro.diag.metrics import merge_latest_metrics, render_prometheus
+from repro.campaign import CampaignSpec, CampaignRunner, load_summary
+from repro.diag.metrics import prom_stats, render_prometheus
 from repro.diag.spans import NULL_SPAN, SpanCollector
 from repro.diag.trace_export import (
     build_profile,
@@ -80,13 +80,13 @@ def _smoke_spec(trace_dir=None, limit=None) -> CampaignSpec:
     )
 
 
-def _run_campaign(spec: CampaignSpec, workers: int = 1):
+def _run_campaign(spec: CampaignSpec, workers: int = 1, out_dir=None):
     """Run one campaign, returning (wall seconds, CPU seconds,
     summary).  CPU covers this process only — meaningful for the
     in-process workers=1 A/B the overhead gate uses."""
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    summary = CampaignRunner(spec, out_dir=None, workers=workers).run()
+    summary = CampaignRunner(spec, out_dir=out_dir, workers=workers).run()
     cpu = time.process_time() - cpu0
     wall = time.perf_counter() - wall0
     assert not summary.shards_errored, summary.shards_errored
@@ -182,12 +182,15 @@ def bench_tracing_overhead(quick: bool) -> dict:
 def bench_parallel_trace(quick: bool) -> dict:
     """One traced 2-worker-process campaign: the merged trace must
     span multiple OS processes and every instrumented layer, and the
-    per-shard metrics series must sum to the campaign totals."""
+    stats ``repro diag prom`` renders from the checkpoint records must
+    count every corpus function."""
     limit = 192 if quick else None
-    spans_dir = tempfile.mkdtemp(prefix="bench-e12-par-")
+    out_dir = tempfile.mkdtemp(prefix="bench-e12-par-")
+    spans_dir = os.path.join(out_dir, "spans")
     try:
         _, _, summary = _run_campaign(
-            _smoke_spec(trace_dir=spans_dir, limit=limit), workers=2)
+            _smoke_spec(trace_dir=spans_dir, limit=limit), workers=2,
+            out_dir=out_dir)
         checked = summary.checked + summary.dedup_hits
 
         span_files = sorted(glob.glob(
@@ -198,20 +201,19 @@ def bench_parallel_trace(quick: bool) -> dict:
                            if r.get("kind") == "meta")
 
         trace = merge_trace(spans_dir,
-                            os.path.join(spans_dir, "trace.json"))
+                            os.path.join(out_dir, "trace.json"))
         xs = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
         names = {e["name"] for e in xs}
         profile = build_profile(trace)
         top_renders = bool(render_top(profile, sort="self"))
 
-        metrics_files = sorted(glob.glob(
-            os.path.join(spans_dir, "metrics-*.jsonl")))
-        merged = merge_latest_metrics(metrics_files)
-        prom = render_prometheus(merged)
-        metrics_checks = merged["stats"].get(
-            "repro_refine_num_checks_total", 0)
+        stats = prom_stats(load_summary(out_dir).stats)
+        prom = render_prometheus({"stats": stats})
+        metrics_checks = stats.get("repro_refine_num_checks_total", 0)
+        stray_files = sorted(set(os.listdir(spans_dir)) - {
+            os.path.basename(p) for p in span_files})
     finally:
-        shutil.rmtree(spans_dir, ignore_errors=True)
+        shutil.rmtree(out_dir, ignore_errors=True)
 
     return {
         "corpus_functions": checked,
@@ -224,9 +226,9 @@ def bench_parallel_trace(quick: bool) -> dict:
         "check_function_spans": sum(
             1 for e in xs if e["name"] == "check-function"),
         "top_renders": top_renders,
+        "stray_span_dir_files": stray_files,
         "metrics": {
-            "shard_files": len(metrics_files),
-            "merged_num_checks": metrics_checks,
+            "checkpoint_num_checks": metrics_checks,
             "prometheus_renders": "repro_refine_num_checks_total" in prom,
         },
     }
@@ -269,9 +271,8 @@ def main(argv=None) -> int:
           f"{tracing['runs']['tracing_on']['wall_seconds']}s)")
     print(f"  parallel trace: {par['span_events']} spans from "
           f"{par['worker_os_pids']} worker processes / "
-          f"{par['span_files']} shards, "
-          f"{par['metrics']['shard_files']} metric series "
-          f"summing to {par['metrics']['merged_num_checks']} checks")
+          f"{par['span_files']} shards; checkpoint stats count "
+          f"{par['metrics']['checkpoint_num_checks']} checks")
     print(f"  wrote {args.out}")
 
     failures = []
@@ -292,10 +293,13 @@ def main(argv=None) -> int:
                         f"{par['corpus_functions']} functions")
     if not par["top_renders"]:
         failures.append("diag top rendered nothing from the trace")
-    if par["metrics"]["merged_num_checks"] != par["corpus_functions"]:
-        failures.append("merged metrics count "
-                        f"{par['metrics']['merged_num_checks']} checks, "
-                        f"expected {par['corpus_functions']}")
+    if par["stray_span_dir_files"]:
+        failures.append("the span directory holds more than span files: "
+                        f"{par['stray_span_dir_files']}")
+    if par["metrics"]["checkpoint_num_checks"] != par["corpus_functions"]:
+        failures.append("checkpoint stats count "
+                        f"{par['metrics']['checkpoint_num_checks']} "
+                        f"checks, expected {par['corpus_functions']}")
     if not args.quick and tracing["overhead_ratio"] > OVERHEAD_GATE:
         failures.append(
             f"tracing CPU overhead {tracing['overhead_ratio']}x over "

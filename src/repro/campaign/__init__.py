@@ -23,6 +23,7 @@ from .executor import (
     ShardExecutor,
     account_records,
     load_spec,
+    load_summary,
     merge_worker_stats,
     run_campaign,
 )
@@ -59,7 +60,8 @@ __all__ = [
     "aggregate_records", "book_records", "merge_worker_stats",
     "campaign_main", "canonical_function", "canonical_hash",
     "canonical_text", "iter_shard_functions", "load_manifest",
-    "load_manifest_payload", "load_spec", "make_failure_oracle",
+    "load_manifest_payload", "load_spec", "load_summary",
+    "make_failure_oracle",
     "manifest_kind", "plan_attack_shards", "plan_shards",
     "reduce_counterexamples", "reduce_failure", "render_report",
     "run_attack_shard", "run_campaign", "run_shard",

@@ -33,6 +33,10 @@ CHECKPOINT_NAME = "checkpoint.jsonl"
 DEDUP_NAME = "dedup.jsonl"
 REDUCED_NAME = "reduced.jsonl"
 
+#: spec keys that older manifests carry and no spec has any more;
+#: the loader drops them so those campaigns still resume and report.
+RETIRED_SPEC_KEYS = ("metrics_interval",)
+
 
 def _append_jsonl(path: str, records: Iterable[dict]) -> None:
     with open(path, "a", encoding="utf-8") as f:
@@ -109,12 +113,16 @@ def save_manifest(out_dir: str, spec: CampaignSpec,
 
 
 def load_manifest_payload(out_dir: str) -> dict:
-    """The raw manifest dict; callers dispatch on ``payload["kind"]``
-    before committing to a spec class (refine campaigns predate the
-    tag, so a missing kind means refine)."""
+    """The raw manifest dict, minus :data:`RETIRED_SPEC_KEYS`; callers
+    dispatch on ``payload["kind"]`` before committing to a spec class
+    (refine campaigns predate the tag, so a missing kind means
+    refine)."""
     path = os.path.join(out_dir, MANIFEST_NAME)
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        payload = json.load(f)
+    for key in RETIRED_SPEC_KEYS:
+        payload.get("spec", {}).pop(key, None)
+    return payload
 
 
 def manifest_kind(out_dir: str) -> str:

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 from ..opt.pipelines import CONFIGS
 from .checkpoint import CheckpointStore, load_manifest, manifest_kind
 from .corpus import Corpus
-from .executor import CampaignRunner, _resolve_work, load_spec
+from .executor import CampaignRunner, _resolve_work, load_spec, load_summary
 from .report import CampaignSummary
 from .reduce import reduce_counterexamples
 from .spec import CampaignSpec
@@ -138,11 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             "interrupt; resume finishes the rest)")
         p.add_argument("--trace-out", nargs="?", const="", default=None,
                        dest="trace_out", metavar="FILE",
-                       help="trace this run: workers stream spans + "
-                            "metric snapshots under <out>/spans, merged "
-                            "after the run into a Chrome-trace FILE "
-                            "(default: <out>/trace.json) — load it in "
-                            "Perfetto or feed it to `repro diag top`")
+                       help="trace this run: workers stream spans under "
+                            "<out>/spans, merged after the run into a "
+                            "Chrome-trace FILE (default: "
+                            "<out>/trace.json) — load it in Perfetto or "
+                            "feed it to `repro diag top`")
         p.add_argument("--json", action="store_true",
                        help="emit the summary as JSON")
 
@@ -363,13 +363,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
-        spec = load_spec(args.out)
+        summary = load_summary(args.out)
     except FileNotFoundError:
         print(f"error: no campaign manifest under {args.out!r}",
               file=sys.stderr)
         return 1
-    summary = _resolve_work(spec.kind).summary_class.from_records(
-        spec, CheckpointStore(args.out).load())
     if args.json:
         print(json.dumps(summary.report_dict(), indent=2, sort_keys=True))
     else:

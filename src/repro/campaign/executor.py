@@ -36,9 +36,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..diag import (
     FlightRecorder,
+    SpanCollector,
     Statistic,
     default_registry,
     emit_remark,
+    set_collector,
     set_recorder,
     span,
 )
@@ -122,6 +124,15 @@ def load_spec(out_dir: str):
     return kind.spec_class.from_dict(payload["spec"])
 
 
+def load_summary(out_dir: str):
+    """A campaign directory's summary, folded from its checkpoint
+    records by its kind's ``from_records`` — what ``campaign report``
+    shows, and the one copy of its stats."""
+    spec = load_spec(out_dir)
+    return _resolve_work(spec.kind).summary_class.from_records(
+        spec, CheckpointStore(out_dir).load())
+
+
 def _worker_main(conn, work: str) -> None:
     """Child-process entry: run ``(spec, shard)`` jobs from the pipe,
     one record back per job, until a ``None`` job or EOF.
@@ -180,14 +191,26 @@ def _drop_inherited_sockets(keep: int) -> None:
 
 def _call_shard(kind: CampaignKind, spec, shard: Shard
                 ) -> Tuple[dict, Optional[BaseException]]:
-    """Run one shard under a fresh flight recorder (the black box: if
-    the shard dies outside its own per-function handling, its last
-    recorded moments still reach the record).
+    """Run one shard in its own trace session: with a ``trace_dir`` on
+    the spec, a span collector streaming to
+    ``<trace_dir>/spans-shard<id>.jsonl`` (pid = shard id in the merged
+    trace), and always a fresh flight recorder wired to the current
+    collector (the black box: if the shard dies outside its own
+    per-function handling, its last recorded moments still reach the
+    record).  Both are restored afterwards.
 
     Any exception becomes an ``errored`` record carrying the recorder's
     dump.  The second item is the exception when it is not an
     :class:`Exception` (an interrupt or exit), which the caller must not
     swallow."""
+    collector = old_collector = None
+    trace_dir = getattr(spec, "trace_dir", None)
+    if trace_dir:
+        collector = SpanCollector(pid=shard.shard_id,
+                                  label=f"shard {shard.shard_id}")
+        collector.open(os.path.join(
+            trace_dir, f"spans-shard{shard.shard_id:04d}.jsonl"))
+        old_collector = set_collector(collector)
     recorder = FlightRecorder()
     old_recorder = set_recorder(recorder)
     recorder.install()
@@ -200,6 +223,9 @@ def _call_shard(kind: CampaignKind, spec, shard: Shard
     finally:
         recorder.uninstall()
         set_recorder(old_recorder)
+        if collector is not None:
+            collector.close()
+            set_collector(old_collector)
 
 
 def _errored_record(shard: Shard, reason: str) -> dict:

@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Tuple
 
-from ..diag import Statistic, span, stats_snapshot
+from ..diag import Statistic, span, stats_delta, stats_snapshot
 from ..mutate import (
     VERDICTS,
     ClassifyOptions,
@@ -45,7 +45,7 @@ from .corpus import CorpusSpec
 from .executor import CampaignRunner
 from .report import ShardSummary
 from .sharding import Shard, plan_shards
-from .worker import _maybe_crash, _stats_delta
+from .worker import _maybe_crash
 
 #: campaign kind of an :class:`AttackSpec`, also its manifest tag.
 MANIFEST_KIND = "lint-attack"
@@ -254,7 +254,7 @@ def run_attack_shard(spec: AttackSpec, shard: Shard,
         "crashes": [],
         "bundles": bundles,
         "wall_seconds": time.monotonic() - t0,
-        "stats": _stats_delta(stats_before, stats_snapshot()),
+        "stats": stats_delta(stats_before, stats_snapshot()),
     }
 
 

@@ -32,7 +32,7 @@ from ..analysis.poison_flow import (
     MUST_POISON,
     analyze_poison_flow,
 )
-from ..diag import Statistic, stats_snapshot
+from ..diag import Statistic, stats_delta, stats_snapshot
 from ..ir.function import Function
 from ..ir.instructions import BinaryInst, BranchInst, Instruction, Opcode
 from ..mutate.ground_truth import (
@@ -43,7 +43,6 @@ from ..mutate.ground_truth import (
 )
 from ..opt.resilience.bundle import make_bundle_payload, write_bundle
 from .corpus import Corpus
-from .worker import _stats_delta
 
 NUM_FUNCTIONS_AUDITED = Statistic(
     "lint-audit", "num-functions-audited",
@@ -280,5 +279,5 @@ def run_lint_audit(width: int = 2, instructions: int = 2,
         "totals": totals,
         "lint_findings": dict(sorted(findings_by_rule.items())),
         "contradictions": [c.as_dict() for c in contradictions],
-        "stats": _stats_delta(stats_before, stats_snapshot()),
+        "stats": stats_delta(stats_before, stats_snapshot()),
     }

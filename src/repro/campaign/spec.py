@@ -94,14 +94,11 @@ class CampaignSpec(CorpusSpec):
     #: directory of the shared on-disk memo layer; None = in-memory
     #: only.  The runner defaults this to ``<out_dir>/memo``.
     cache_dir: Optional[str] = None
-    #: span-tracing output: each worker streams spans to
-    #: ``<trace_dir>/spans-shard<id>.jsonl`` and periodic metric
-    #: snapshots to ``metrics-shard<id>.jsonl``; None = tracing off.
+    #: span-tracing output: each shard streams spans to
+    #: ``<trace_dir>/spans-shard<id>.jsonl``; None = tracing off.
     #: Deliberately absent from :meth:`memo_context` — tracing must
     #: never change a verdict.
     trace_dir: Optional[str] = None
-    #: minimum seconds between a shard's metric time-series flushes.
-    metrics_interval: float = 5.0
 
     def __post_init__(self):
         if self.mode not in ("enumerate", "random"):

@@ -39,16 +39,10 @@ from contextvars import ContextVar
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..diag import (
-    FlightRecorder,
-    MetricsWriter,
-    SpanCollector,
     current_collector,
     current_recorder,
     default_registry,
-    metrics_snapshot,
-    prom_name,
-    set_collector,
-    set_recorder,
+    stats_delta,
     stats_snapshot,
 )
 from ..ir import parse_function, print_function, print_module, verify_function
@@ -124,38 +118,6 @@ def _maybe_crash(shard_id: int) -> None:
     if hang_ids and str(shard_id) in hang_ids.split(","):
         while True:  # simulate a wedged worker: only a kill ends it
             time.sleep(60)
-
-
-def _shard_metrics(stats_before: Dict[str, Dict[str, int]]) -> dict:
-    """A metrics snapshot whose stats are rebased to this shard's start.
-
-    One worker process can run several shards, but each shard flushes to
-    its own metrics file and :func:`merge_latest_metrics` *sums* the
-    latest stats across files — so the flushed stats must be shard-local
-    deltas, not the process registry's cumulative totals.
-    """
-    snap = metrics_snapshot()
-    base = {prom_name(pass_name, name): value
-            for pass_name, counters in stats_before.items()
-            for name, value in counters.items()}
-    snap["stats"] = {
-        name: value - base.get(name, 0)
-        for name, value in snap["stats"].items()
-        if value - base.get(name, 0)
-    }
-    return snap
-
-
-def _stats_delta(before: Dict[str, Dict[str, int]],
-                 after: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, int]]:
-    """Non-zero counter increments between two registry snapshots."""
-    delta: Dict[str, Dict[str, int]] = {}
-    for pass_name, counters in after.items():
-        for name, value in counters.items():
-            diff = value - before.get(pass_name, {}).get(name, 0)
-            if diff:
-                delta.setdefault(pass_name, {})[name] = diff
-    return delta
 
 
 def check_function(spec: CampaignSpec, fn, src_text: str, h: str,
@@ -294,37 +256,10 @@ def run_shard(spec: CampaignSpec, shard: Shard,
     _maybe_crash(shard.shard_id)
     start_time = time.perf_counter()
     stats_before = stats_snapshot()
-
-    # -- observability plumbing (must never change a verdict) -----------
-    # With spec.trace_dir set, this shard streams spans to its own JSONL
-    # file (pid = shard id in the merged trace) and periodic metric
-    # snapshots alongside.  A flight recorder runs either way: the
-    # executor installs one around us; direct callers get a local one.
+    # The executor's _call_shard sets up the trace session (span file
+    # and flight recorder); a direct call runs untraced and without
+    # breadcrumbs.  Tracing must never change a verdict.
     collector = current_collector()
-    old_collector = None
-    if spec.trace_dir:
-        collector = SpanCollector()
-        collector.open(
-            os.path.join(spec.trace_dir,
-                         f"spans-shard{shard.shard_id:04d}.jsonl"),
-            pid=shard.shard_id, label=f"shard {shard.shard_id}")
-        old_collector = set_collector(collector)
-    recorder = current_recorder()
-    owns_recorder = recorder is None
-    if owns_recorder:
-        recorder = FlightRecorder()
-        set_recorder(recorder)
-        recorder.install(collector=collector)
-    elif old_collector is not None:
-        # The executor wired the recorder to the (disabled) default
-        # collector; mirror completions from the traced one as well.
-        collector.on_complete.append(recorder.on_span)
-    metrics = None
-    if spec.trace_dir:
-        metrics = MetricsWriter(
-            os.path.join(spec.trace_dir,
-                         f"metrics-shard{shard.shard_id:04d}.jsonl"),
-            interval=spec.metrics_interval)
     registry = default_registry()
     tracing = collector.enabled
     if tracing:
@@ -334,24 +269,16 @@ def run_shard(spec: CampaignSpec, shard: Shard,
     try:
         return _run_shard_body(
             spec, shard, known_hashes, start_time, stats_before,
-            collector, recorder, metrics, registry, tracing)
+            collector, current_recorder(), registry, tracing)
     finally:
         if tracing:
             registry.stop_journal()
-        if owns_recorder:
-            recorder.uninstall()
-            set_recorder(None)
-        elif old_collector is not None:
-            collector.on_complete.remove(recorder.on_span)
-        if old_collector is not None:
-            collector.close()
-            set_collector(old_collector)
 
 
 def _run_shard_body(spec: CampaignSpec, shard: Shard,
                     known_hashes: Optional[Dict[str, str]],
                     start_time: float, stats_before, collector,
-                    recorder, metrics, registry, tracing: bool) -> dict:
+                    recorder, registry, tracing: bool) -> dict:
     cache = DedupCache(known_hashes)
     # The perf-layer memo replays verdicts for canonical hashes decided
     # by earlier shards/runs of the same context ("failed" is never
@@ -375,15 +302,9 @@ def _run_shard_body(spec: CampaignSpec, shard: Shard,
             index = shard.start + offset
             src_text = print_module(fn.module)
             h = canonical_hash(fn)
-            recorder.record("check-function", shard=shard.shard_id,
-                            index=index, fn=fn.name, hash=h)
-            if metrics is not None:
-                # lazy: the registry walk only happens on the calls
-                # the flush interval lets through
-                metrics.maybe_flush(
-                    lambda: _shard_metrics(stats_before),
-                    shard=shard.shard_id,
-                    checked=sum(verdicts.values()))
+            if recorder is not None:
+                recorder.record("check-function", shard=shard.shard_id,
+                                index=index, fn=fn.name, hash=h)
             mark = registry.journal_mark() if tracing else 0
             with collector.span("check-function", cat="campaign",
                                 function=fn.name) as sp:
@@ -404,7 +325,9 @@ def _run_shard_body(spec: CampaignSpec, shard: Shard,
                         crashes.append(dict(
                             outcome["crash"],
                             shard_id=shard.shard_id, index=index,
-                            flight_recorder=recorder.dump(),
+                            flight_recorder=(recorder.dump()
+                                             if recorder is not None
+                                             else None),
                         ))
                         sp.set(outcome="crashed")
                         continue
@@ -434,10 +357,6 @@ def _run_shard_body(spec: CampaignSpec, shard: Shard,
         shard_span.set(shard=shard.shard_id,
                        checked=sum(verdicts.values()),
                        dedup_hits=cache.hits, crashes=len(crashes))
-    if metrics is not None:
-        metrics.flush(_shard_metrics(stats_before),
-                      shard=shard.shard_id,
-                      checked=sum(verdicts.values()), final=True)
     record = {
         "shard_id": shard.shard_id,
         "status": "errored" if crashes else "done",
@@ -453,7 +372,7 @@ def _run_shard_body(spec: CampaignSpec, shard: Shard,
         "recoveries": recoveries,
         "bundles": bundles,
         "wall_seconds": time.perf_counter() - start_time,
-        "stats": _stats_delta(stats_before, stats_snapshot()),
+        "stats": stats_delta(stats_before, stats_snapshot()),
     }
     if crashes:
         record["error"] = (

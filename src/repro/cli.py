@@ -38,10 +38,10 @@ Resilience (``repro.opt.resilience``) is wired in three places:
 ``python -m repro diag {top,merge,prom} ...`` is the observability
 toolbox (:mod:`repro.diag`): render a profiler-style ``top`` table from
 a merged span trace, merge per-shard span files into a
-Perfetto-loadable ``trace.json``, and render metric snapshots in the
-Prometheus text format.  Compile mode grows ``--trace-out FILE`` which
-records an in-memory span tree for the single compilation and writes
-the same trace format.
+Perfetto-loadable ``trace.json``, and render a campaign's stats, summed
+from its checkpoint records, in the Prometheus text format.  Compile
+mode grows ``--trace-out FILE`` which records an in-memory span tree
+for the single compilation and writes the same trace format.
 
 ``python -m repro serve`` runs the validation service
 (:mod:`repro.serve`): a persistent asyncio front-end over the campaign
@@ -502,25 +502,11 @@ def _diag_parser() -> argparse.ArgumentParser:
                             "<spans_dir>/../trace.json)")
 
     prom = sub.add_parser(
-        "prom", help="render metric snapshots as Prometheus text")
-    prom.add_argument("paths", nargs="+",
-                      help="metrics JSONL file(s), or directories "
-                           "containing metrics-*.jsonl")
+        "prom", help="render a campaign's stats as Prometheus text")
+    prom.add_argument("out",
+                      help="a campaign directory (any kind): its "
+                           "checkpoint records' stats, summed")
     return parser
-
-
-def _metrics_files(paths: List[str]) -> List[str]:
-    import glob
-    import os
-
-    files: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            files.extend(sorted(
-                glob.glob(os.path.join(path, "metrics-*.jsonl"))))
-        else:
-            files.append(path)
-    return files
 
 
 def _diag_main(argv: List[str]) -> int:
@@ -575,14 +561,16 @@ def _diag_main(argv: List[str]) -> int:
         return 0
 
     # prom
-    from .diag.metrics import merge_latest_metrics, render_prometheus
+    from .campaign import load_summary
+    from .diag.metrics import prom_stats, render_prometheus
 
-    files = _metrics_files(args.paths)
-    if not files:
-        print("error: no metrics JSONL files found", file=sys.stderr)
+    try:
+        summary = load_summary(args.out)
+    except OSError:
+        print(f"error: no campaign manifest under {args.out!r}",
+              file=sys.stderr)
         return 1
-    snapshot = merge_latest_metrics(files)
-    sys.stdout.write(render_prometheus(snapshot))
+    sys.stdout.write(render_prometheus({"stats": prom_stats(summary.stats)}))
     return 0
 
 

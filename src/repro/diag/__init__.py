@@ -14,8 +14,8 @@ The diagnostics layer mirrors LLVM's telemetry surfaces:
   to per-shard JSONL files;
 * :mod:`repro.diag.trace_export` — merges span files into a Chrome
   trace-event ``trace.json`` and aggregates profile reports;
-* :mod:`repro.diag.metrics` — typed counters/gauges/histograms, JSONL
-  time series, and the Prometheus text renderer;
+* :mod:`repro.diag.metrics` — typed gauges/histograms and the
+  Prometheus text renderer;
 * :mod:`repro.diag.metrics_catalog` — the documented stat/metric name
   set (tested against everything actually emitted);
 * :mod:`repro.diag.recorder` — black-box flight recorder dumped into
@@ -39,9 +39,7 @@ from .remarks import (
 )
 from .metrics import (
     MetricsRegistry,
-    MetricsWriter,
     default_metrics,
-    load_metrics_series,
     metrics_snapshot,
     prom_name,
     render_prometheus,
@@ -66,9 +64,9 @@ from .stats import (
     Statistic,
     StatsRegistry,
     default_registry,
-    flat_delta,
     format_stats,
     reset_stats,
+    stats_delta,
     stats_snapshot,
 )
 from .timing import PassStats, PassTiming, TimeRecord
@@ -78,13 +76,12 @@ __all__ = [
     "REMARK_ANALYSIS", "REMARK_KINDS", "REMARK_MISSED", "REMARK_PASSED",
     "Remark", "RemarkEmitter", "default_emitter", "emit_remark",
     "remarks_from_json", "remarks_to_json",
-    "Statistic", "StatsRegistry", "default_registry", "flat_delta",
-    "format_stats", "reset_stats", "stats_snapshot",
+    "Statistic", "StatsRegistry", "default_registry", "format_stats",
+    "reset_stats", "stats_delta", "stats_snapshot",
     "NULL_SPAN", "Span", "SpanCollector", "current_collector",
     "set_collector", "span", "phase", "phase_entries",
-    "MetricsRegistry", "MetricsWriter", "default_metrics",
-    "load_metrics_series", "metrics_snapshot", "prom_name",
-    "render_prometheus",
+    "MetricsRegistry", "default_metrics", "metrics_snapshot",
+    "prom_name", "render_prometheus",
     "FlightRecorder", "current_recorder", "recorder_dump", "set_recorder",
     "PassStats", "PassTiming", "TimeRecord",
     "ExecTrace",

@@ -1,6 +1,6 @@
 """The one torn-tolerant JSONL reader.
 
-Campaign checkpoints, metric series and span files are append-only
+Campaign checkpoints and span files are append-only
 JSONL written by processes that may be killed mid-write, so a reader
 skips blank lines and lines that do not decode (a torn final record
 only costs what it described).  The memo store keeps its own

@@ -1,5 +1,5 @@
-"""Typed metrics over the statistics registry: counters, gauges,
-histograms, JSONL time series, and a Prometheus text renderer.
+"""Typed metrics over the statistics registry: gauges, histograms, and
+a Prometheus text renderer.
 
 The :mod:`repro.diag.stats` counters are the compiler's ``-stats``
 surface — process-wide, reset-able, keyed by ``(pass, name)``.  This
@@ -13,15 +13,13 @@ long-running service is scraped:
   lives in :mod:`repro.diag.metrics_catalog`; a test holds that every
   emitted stat is cataloged, so renames cannot silently break
   dashboards or BENCH gates.
-* typed instruments: :class:`Counter` (monotonic), :class:`Gauge`
-  (set-able), :class:`Histogram` (fixed cumulative buckets + sum +
-  count) in a :class:`MetricsRegistry`.
-* :class:`MetricsWriter` — append-only JSONL time series; long-running
-  campaign shards flush snapshots periodically, and the loader
-  (:func:`load_metrics_series`) tolerates torn final lines exactly like
-  campaign checkpoints.
-* :func:`render_prometheus` — the text exposition format the future
-  validation-as-a-service front-end will serve from ``/metrics``.
+* typed instruments: :class:`Gauge` (set-able) and :class:`Histogram`
+  (fixed cumulative buckets + sum + count) in a
+  :class:`MetricsRegistry`.  There is no typed counter: the stats are
+  the counters.
+* :func:`render_prometheus` — the text exposition format the validation
+  service serves from ``/metrics`` and ``repro diag prom`` prints for a
+  campaign directory, from the stats its checkpoint records carry.
 
 This module deliberately imports nothing from the rest of ``repro``.
 """
@@ -29,13 +27,9 @@ This module deliberately imports nothing from the rest of ``repro``.
 from __future__ import annotations
 
 import functools
-import json
-import os
 import re
-import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
-from .jsonl import load_jsonl
 from .stats import StatsRegistry, default_registry
 
 #: prefix of every exported metric name.
@@ -57,22 +51,6 @@ def prom_name(pass_name: str, counter: str) -> str:
     """The stable Prometheus name of one ``(pass, counter)`` stat."""
     return (f"{METRIC_PREFIX}_{_sanitize(pass_name)}"
             f"_{_sanitize(counter)}_total")
-
-
-class Counter:
-    """A monotonically increasing counter."""
-
-    __slots__ = ("name", "help", "value")
-
-    def __init__(self, name: str, help_text: str = ""):
-        self.name = name
-        self.help = help_text
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("counters only go up")
-        self.value += n
 
 
 class Gauge:
@@ -134,7 +112,6 @@ class MetricsRegistry:
     """Holds typed instruments, keyed by their stable names."""
 
     def __init__(self):
-        self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
@@ -144,13 +121,6 @@ class MetricsRegistry:
             raise ValueError(f"invalid metric name {name!r} "
                              f"(want [a-z_][a-z0-9_]*)")
         return name
-
-    def counter(self, name: str, help_text: str = "") -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter(self._check_name(name),
-                                               help_text)
-        return c
 
     def gauge(self, name: str, help_text: str = "") -> Gauge:
         g = self._gauges.get(name)
@@ -169,11 +139,9 @@ class MetricsRegistry:
         return h
 
     def names(self) -> List[str]:
-        return sorted([*self._counters, *self._gauges, *self._histograms])
+        return sorted([*self._gauges, *self._histograms])
 
     def reset(self) -> None:
-        for c in self._counters.values():
-            c.value = 0
         for g in self._gauges.values():
             g.value = 0.0
         for h in self._histograms.values():
@@ -185,8 +153,6 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe view of every instrument's current value."""
         return {
-            "counters": {n: c.value
-                         for n, c in sorted(self._counters.items())},
             "gauges": {n: g.value
                        for n, g in sorted(self._gauges.items())},
             "histograms": {n: h.snapshot()
@@ -195,7 +161,7 @@ class MetricsRegistry:
 
     def help_texts(self) -> Dict[str, str]:
         out = {}
-        for table in (self._counters, self._gauges, self._histograms):
+        for table in (self._gauges, self._histograms):
             for name, inst in table.items():
                 if inst.help:
                     out[name] = inst.help
@@ -206,8 +172,16 @@ def stats_as_metrics(registry: Optional[StatsRegistry] = None
                      ) -> Dict[str, int]:
     """Every stat counter under its stable Prometheus name."""
     registry = registry or default_registry()
+    return prom_stats(registry.snapshot())
+
+
+def prom_stats(stats: Dict[str, Dict[str, int]]) -> Dict[str, int]:
+    """A ``{pass: {counter: value}}`` stats dict — a registry snapshot,
+    or the stats a campaign summary folds from its checkpoint records —
+    under stable Prometheus names."""
     return {prom_name(pass_name, name): value
-            for pass_name, name, value in registry}
+            for pass_name, counters in stats.items()
+            for name, value in counters.items()}
 
 
 def metrics_snapshot(metrics: Optional[MetricsRegistry] = None,
@@ -215,8 +189,8 @@ def metrics_snapshot(metrics: Optional[MetricsRegistry] = None,
                      ) -> Dict[str, Any]:
     """One combined snapshot: typed instruments + stat-derived counters.
 
-    This is the JSONL time-series payload and the Prometheus render
-    input — the exact surface a service scrape would export.
+    This is the Prometheus render input — the exact surface a service
+    scrape exports.
     """
     metrics = metrics or default_metrics()
     snap = metrics.snapshot()
@@ -237,9 +211,6 @@ def render_prometheus(snapshot: Dict[str, Any],
             lines.append(f"# HELP {name} {text}")
         lines.append(f"# TYPE {name} {kind}")
 
-    for name, value in sorted(snapshot.get("counters", {}).items()):
-        emit_help(name, "counter")
-        lines.append(f"{name} {value}")
     for name, value in sorted(snapshot.get("stats", {}).items()):
         emit_help(name, "counter")
         lines.append(f"{name} {value}")
@@ -257,96 +228,6 @@ def render_prometheus(snapshot: Dict[str, Any],
 
 def _fmt(value: float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
-
-
-# -- JSONL time series -------------------------------------------------------
-class MetricsWriter:
-    """Appends periodic metric snapshots to a JSONL time-series file.
-
-    One writer per file (the per-process discipline of the memo's disk
-    layer); records carry a wall-clock timestamp and a monotonically
-    increasing sequence number so merged series sort stably.
-    """
-
-    def __init__(self, path: str, interval: float = 5.0):
-        self.path = path
-        #: minimum seconds between :meth:`maybe_flush` flushes;
-        #: ``<= 0`` flushes on every call.
-        self.interval = interval
-        self.flushes = 0
-        self._last = None  # monotonic time of the last flush
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-
-    def flush(self,
-              snapshot: Union[Dict[str, Any],
-                              Callable[[], Dict[str, Any]], None] = None,
-              **extra: Any) -> None:
-        """Append one snapshot record now.
-
-        ``snapshot`` may be a callable producing the snapshot dict —
-        it is only invoked when a record is actually written, so hot
-        loops can pass a lazy thunk to :meth:`maybe_flush` without
-        paying the registry walk on the calls the interval suppresses.
-        """
-        if callable(snapshot):
-            snapshot = snapshot()
-        record = {
-            "ts": time.time(),
-            "seq": self.flushes,
-            "metrics": snapshot if snapshot is not None
-            else metrics_snapshot(),
-        }
-        record.update(extra)
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(json.dumps(record) + "\n")
-        self.flushes += 1
-        self._last = time.monotonic()
-
-    def maybe_flush(self,
-                    snapshot: Union[Dict[str, Any],
-                                    Callable[[], Dict[str, Any]],
-                                    None] = None,
-                    **extra: Any) -> bool:
-        """Flush if at least ``interval`` seconds elapsed since the
-        last flush (always flushes the first call)."""
-        now = time.monotonic()
-        if (self._last is not None and self.interval > 0
-                and now - self._last < self.interval):
-            return False
-        self.flush(snapshot, **extra)
-        return True
-
-
-#: Load a metrics JSONL file, skipping torn/corrupt lines.
-load_metrics_series = load_jsonl
-
-
-def merge_latest_metrics(paths: Iterable[str]) -> Dict[str, Any]:
-    """Fold several per-shard series into one combined latest snapshot:
-    counters/stats sum across shards, gauges take the last value,
-    histograms merge bucket-wise."""
-    combined: Dict[str, Any] = {"counters": {}, "gauges": {},
-                                "histograms": {}, "stats": {}}
-    for path in paths:
-        series = load_metrics_series(path)
-        if not series:
-            continue
-        latest = series[-1].get("metrics", {})
-        for table in ("counters", "stats"):
-            for name, value in latest.get(table, {}).items():
-                combined[table][name] = combined[table].get(name, 0) + value
-        for name, value in latest.get("gauges", {}).items():
-            combined["gauges"][name] = value
-        for name, h in latest.get("histograms", {}).items():
-            dest = combined["histograms"].setdefault(
-                name, {"buckets": {}, "sum": 0.0, "count": 0})
-            for le, count in h.get("buckets", {}).items():
-                dest["buckets"][le] = dest["buckets"].get(le, 0) + count
-            dest["sum"] += h.get("sum", 0.0)
-            dest["count"] += h.get("count", 0)
-    return combined
 
 
 #: The process-wide typed-metrics registry.

@@ -32,8 +32,8 @@ class StatsRegistry:
     def __init__(self):
         self._values: Dict[Tuple[str, str], int] = {}
         self._descriptions: Dict[Tuple[str, str], str] = {}
-        #: memoized "pass/counter" strings so flat_snapshot (taken per
-        #: traced region) never re-formats keys.
+        #: memoized "pass/counter" strings so the journal never
+        #: re-formats keys.
         self._flat_keys: Dict[Tuple[str, str], str] = {}
         #: increment journal — a list of ("pass/counter", n) appended by
         #: :meth:`add` while :meth:`start_journal` is active.  Lets a
@@ -94,14 +94,6 @@ class StatsRegistry:
         return json.dumps(self.snapshot(nonzero_only=nonzero_only),
                           indent=indent, sort_keys=True)
 
-    def flat_snapshot(self, nonzero_only: bool = False) -> Dict[str, int]:
-        """Flat ``{"pass/counter": value}`` copy — cheap enough to take
-        before and after a traced region (:func:`flat_delta`)."""
-        keys = self._flat_keys
-        if nonzero_only:
-            return {keys[k]: v for k, v in self._values.items() if v}
-        return {keys[k]: v for k, v in self._values.items()}
-
     # -- increment journal -------------------------------------------------
     def start_journal(self) -> None:
         """Begin recording every :meth:`add` as a ``("pass/counter", n)``
@@ -120,9 +112,9 @@ class StatsRegistry:
 
     def journal_delta(self, mark: int,
                       truncate: bool = False) -> Dict[str, int]:
-        """Aggregate increments recorded since ``mark`` — the same
-        nonzero delta :func:`flat_delta` would compute from snapshots
-        bracketing the region, in O(increments) instead of O(registry).
+        """Aggregate increments recorded since ``mark`` — the nonzero
+        :func:`stats_delta` of snapshots bracketing the region, keyed
+        ``"pass/counter"``, in O(increments) instead of O(registry).
 
         ``truncate`` drops the consumed entries so a long-lived journal
         (one per shard, marked per function) stays a few entries long.
@@ -192,16 +184,17 @@ def format_stats(nonzero_only: bool = True) -> str:
     return _DEFAULT_REGISTRY.format_text(nonzero_only=nonzero_only)
 
 
-def flat_delta(before: Dict[str, int],
-               after: Dict[str, int]) -> Dict[str, int]:
-    """Nonzero increments between two :meth:`StatsRegistry.flat_snapshot`
-    copies — the stat delta spans attach to a traced region."""
-    out = {}
-    for key, value in after.items():
-        diff = value - before.get(key, 0)
-        if diff:
-            out[key] = diff
-    return out
+def stats_delta(before: Dict[str, Dict[str, int]],
+                after: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, int]]:
+    """Non-zero counter increments between two registry snapshots — the
+    ``stats`` a campaign shard's checkpoint record carries."""
+    delta: Dict[str, Dict[str, int]] = {}
+    for pass_name, counters in after.items():
+        for name, value in counters.items():
+            diff = value - before.get(pass_name, {}).get(name, 0)
+            if diff:
+                delta.setdefault(pass_name, {})[name] = diff
+    return delta
 
 
 class Statistic:

@@ -104,6 +104,11 @@ UNGATED_OPS = frozenset({"ping", "health", "metrics", "stats"})
 
 _SPEC_FIELDS = frozenset(f.name for f in dataclass_fields(CampaignSpec))
 
+#: spec fields that choose where the server writes files.  The server's
+#: own ``--memo-dir`` decides that, so a request naming one, inside
+#: ``spec`` or at the top level, is a bad request.
+_DEPLOYMENT_FIELDS = frozenset({"trace_dir", "cache_dir"})
+
 #: completed ``done`` payloads remembered per ``(op, idempotency_key)``
 #: (LRU); a client retry whose first attempt actually finished is
 #: answered from here instead of re-running the work.  Safe because
@@ -313,6 +318,12 @@ class ValidationService:
         spec_in = payload.get("spec", payload)
         if not isinstance(spec_in, dict):
             raise ServiceError("bad-request", "spec must be a JSON object")
+        named = _DEPLOYMENT_FIELDS & (set(payload) | set(spec_in))
+        if named:
+            raise ServiceError(
+                "bad-request",
+                f"fields set by the server, not a request: "
+                f"{', '.join(sorted(named))}")
         unknown = set(spec_in) - _SPEC_FIELDS
         if "spec" in payload and unknown:
             raise ServiceError(
@@ -547,8 +558,7 @@ class ValidationService:
     # -- campaign -----------------------------------------------------------
     async def _op_campaign(self, payload, emit, deadline) -> Dict[str, Any]:
         spec = self._spec_from(payload)
-        if (spec.use_cache and spec.cache_dir is None
-                and self.config.memo_dir):
+        if spec.use_cache and self.config.memo_dir:
             # Workers append to the service verdict store, so one
             # client's campaign warms every other client's requests.
             spec = spec.with_(cache_dir=self.config.memo_dir)

@@ -1,11 +1,11 @@
 """Campaign observability: cross-process span tracing, worker→runner
-stats merging, metrics series, and the flight recorder in failure
-records.
+stats merging, Prometheus text from the checkpoint, and the flight
+recorder in failure records.
 
 The tentpole guarantees under test:
 
 * a parallel (multi-process) campaign run with ``trace_dir`` set
-  streams per-shard span and metrics files and merges into one
+  streams per-shard span files (and nothing else) that merge into one
   Perfetto-loadable ``trace.json`` covering every worker;
 * worker-process statistics are no longer lost: the campaign summary
   (and the parent process registry) see nonzero ``refine/*`` and
@@ -19,8 +19,9 @@ import json
 import os
 
 from repro.campaign import CampaignSpec, run_campaign
+from repro.cli import main as repro_main
 from repro.diag import default_registry
-from repro.diag.metrics import merge_latest_metrics, render_prometheus
+from repro.diag.metrics import prom_stats, render_prometheus
 from repro.diag.metrics_catalog import uncataloged
 from repro.diag.trace_export import build_profile, merge_trace, render_top
 
@@ -32,8 +33,7 @@ SPEC = CampaignSpec(
 
 
 def _traced_spec(tmp_path):
-    return SPEC.with_(trace_dir=str(tmp_path / "spans"),
-                      metrics_interval=0.0)
+    return SPEC.with_(trace_dir=str(tmp_path / "spans"))
 
 
 class TestWorkerStatsMerge:
@@ -74,6 +74,9 @@ class TestSpanTracing:
         span_files = sorted(glob.glob(str(tmp_path / "spans" /
                                           "spans-*.jsonl")))
         assert len(span_files) == 4  # one per shard
+        # the checkpoint is the only per-shard copy of the stats
+        assert sorted(os.listdir(tmp_path / "spans")) == [
+            os.path.basename(p) for p in span_files]
 
         trace = merge_trace(str(tmp_path / "spans"),
                             str(tmp_path / "trace.json"))
@@ -126,28 +129,22 @@ class TestSpanTracing:
 
 
 class TestMetricsSeries:
-    def test_shard_metrics_merge_to_campaign_totals(self, tmp_path):
+    def test_shard_metrics_merge_to_campaign_totals(self, tmp_path,
+                                                    capsys):
+        # `diag prom OUT` renders the stats the checkpoint records
+        # carry, summed per counter across shards, even when one worker
+        # process ran several of them
         spec = _traced_spec(tmp_path)
         summary = run_campaign(spec, out_dir=str(tmp_path), workers=2)
-        files = sorted(glob.glob(str(tmp_path / "spans" /
-                                     "metrics-*.jsonl")))
-        assert len(files) == 4
-        merged = merge_latest_metrics(files)
-        # per-shard deltas sum to the campaign's true totals even when
-        # one worker process ran several shards
-        assert merged["stats"]["repro_refine_num_checks_total"] == \
-            summary.checked
-        text = render_prometheus(merged)
-        assert f"repro_refine_num_checks_total {summary.checked}" in text
-
-    def test_final_record_is_marked(self, tmp_path):
-        spec = _traced_spec(tmp_path)
-        run_campaign(spec, out_dir=str(tmp_path), workers=2)
-        for path in glob.glob(str(tmp_path / "spans" /
-                                  "metrics-*.jsonl")):
-            records = [json.loads(l) for l in open(path) if l.strip()]
-            assert records[-1]["final"] is True
-            assert "checked" in records[-1]
+        capsys.readouterr()
+        assert repro_main(["diag", "prom", str(tmp_path)]) == 0
+        text = capsys.readouterr().out
+        assert text == render_prometheus(
+            {"stats": prom_stats(summary.stats)})
+        assert f"repro_refine_num_checks_total {summary.checked}\n" in text
+        # the span directory is no campaign: no manifest, exit 1
+        assert repro_main(["diag", "prom", str(tmp_path / "spans")]) == 1
+        assert "no campaign manifest" in capsys.readouterr().err
 
 
 class TestFlightRecorderInRecords:

@@ -2,6 +2,9 @@
 summarizes a checkpoint exactly as the live run and resume did."""
 
 import json
+import os
+
+import pytest
 
 from repro.campaign import (
     CampaignSpec,
@@ -55,6 +58,35 @@ def test_attack_report_matches_resume(tmp_path, capsys):
     for key in ("taxonomy", "disagreements", "mutants", "observations",
                 "worker_restarts", "shards_total"):
         assert report[key] == resumed[key], key
+
+
+@pytest.mark.parametrize("command, args, keys", [
+    ("run", REFINE_ARGS,
+     ("checked", "dedup_hits", "failed", "counterexamples")),
+    ("lint-attack", ATTACK_ARGS,
+     ("taxonomy", "disagreements", "mutants", "observations")),
+])
+def test_manifest_with_a_retired_key_resumes(tmp_path, capsys, command,
+                                             args, keys):
+    # manifests once carried the spec field `metrics_interval`; such a
+    # campaign still resumes and reports the uninterrupted totals
+    whole = cli_json(capsys, command, "--out", str(tmp_path / "whole"),
+                     "--json", *args)
+    out = str(tmp_path / "old")
+    cli_json(capsys, command, "--out", out, "--stop-after", "2", "--json",
+             *args)
+    path = os.path.join(out, "manifest.json")
+    with open(path) as f:
+        payload = json.load(f)
+    payload["spec"]["metrics_interval"] = 5.0
+    with open(path, "w") as f:
+        json.dump(payload, f)
+
+    resumed = cli_json(capsys, "resume", "--out", out, "--json")
+    assert resumed["shards_skipped"] == 2
+    report = cli_json(capsys, "report", "--out", out, "--json")
+    for key in keys:
+        assert resumed[key] == whole[key] == report[key], key
 
 
 def test_report_shows_supervisor_activity(tmp_path, capsys):

@@ -1,17 +1,13 @@
-"""The typed-metrics layer: registries, snapshots, the Prometheus
-renderer, and the JSONL time series."""
-
-import json
+"""The typed-metrics layer: registries, snapshots, and the Prometheus
+renderer."""
 
 import pytest
 
 from repro.diag.metrics import (
     MetricsRegistry,
-    MetricsWriter,
-    load_metrics_series,
-    merge_latest_metrics,
     metrics_snapshot,
     prom_name,
+    prom_stats,
     render_prometheus,
     stats_as_metrics,
 )
@@ -28,19 +24,12 @@ class TestNames:
     def test_registry_rejects_invalid_names(self):
         reg = MetricsRegistry()
         with pytest.raises(ValueError):
-            reg.counter("Bad-Name")
+            reg.histogram("Bad-Name")
         with pytest.raises(ValueError):
             reg.gauge("9starts_with_digit")
 
 
 class TestInstruments:
-    def test_counter_accumulates(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_things_total", help_text="things")
-        c.inc()
-        c.inc(4)
-        assert reg.snapshot()["counters"]["repro_things_total"] == 5
-
     def test_gauge_tracks_last_value(self):
         reg = MetricsRegistry()
         g = reg.gauge("repro_inflight")
@@ -63,7 +52,8 @@ class TestInstruments:
 
     def test_same_name_returns_the_same_instrument(self):
         reg = MetricsRegistry()
-        assert reg.counter("repro_x_total") is reg.counter("repro_x_total")
+        assert reg.gauge("repro_x") is reg.gauge("repro_x")
+        assert reg.histogram("repro_h") is reg.histogram("repro_h")
 
 
 class TestSnapshots:
@@ -80,19 +70,19 @@ class TestSnapshots:
         out = stats_as_metrics(stats)
         assert out == {"repro_a_num_x_total": 0,
                        "repro_b_num_y_total": 1}
+        assert prom_stats(stats.snapshot()) == out
 
 
 class TestPrometheusRender:
     def test_render_has_type_lines_and_values(self):
         reg = MetricsRegistry()
-        reg.counter("repro_checks_total").inc(3)
         reg.gauge("repro_inflight").set(2)
         stats = StatsRegistry()
         Statistic("refine", "num-checks", registry=stats).inc(5)
         text = render_prometheus(metrics_snapshot(reg, stats))
-        assert "# TYPE repro_checks_total counter" in text
-        assert "repro_checks_total 3" in text
+        assert "# TYPE repro_refine_num_checks_total counter" in text
         assert "# TYPE repro_inflight gauge" in text
+        assert "repro_inflight 2" in text
         assert "repro_refine_num_checks_total 5" in text
         assert text.endswith("\n")
 
@@ -107,75 +97,8 @@ class TestPrometheusRender:
 
     def test_help_texts_are_emitted_when_known(self):
         reg = MetricsRegistry()
-        reg.counter("repro_x_total", help_text="Things done").inc()
+        reg.gauge("repro_x", help_text="Things in flight").set(1)
         snap = metrics_snapshot(reg, StatsRegistry())
         text = render_prometheus(snap, help_texts=reg.help_texts())
-        assert "# HELP repro_x_total Things done" in text
+        assert "# HELP repro_x Things in flight" in text
 
-
-class TestTimeSeries:
-    def _snap(self, n):
-        return {"counters": {"repro_x_total": n}, "gauges": {},
-                "histograms": {}, "stats": {"repro_s_total": n}}
-
-    def test_writer_appends_sequenced_records(self, tmp_path):
-        path = str(tmp_path / "metrics-shard0000.jsonl")
-        w = MetricsWriter(path, interval=0.0)
-        w.flush(self._snap(1), shard=0)
-        w.flush(self._snap(2), shard=0, final=True)
-        series = load_metrics_series(path)
-        assert [r["seq"] for r in series] == [0, 1]
-        assert series[-1]["final"] is True
-        assert series[-1]["metrics"]["counters"]["repro_x_total"] == 2
-
-    def test_maybe_flush_respects_the_interval(self, tmp_path):
-        w = MetricsWriter(str(tmp_path / "m.jsonl"), interval=3600.0)
-        assert w.maybe_flush(self._snap(1)) is True  # first always
-        assert w.maybe_flush(self._snap(2)) is False
-        assert w.flushes == 1
-
-    def test_loader_tolerates_torn_final_lines(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        w = MetricsWriter(str(path), interval=0.0)
-        w.flush(self._snap(1))
-        with open(path, "a") as f:
-            f.write('{"ts": 1, "seq": 1, "metr')  # killed mid-write
-        series = load_metrics_series(str(path))
-        assert len(series) == 1
-
-    def test_merge_sums_counters_and_stats_across_shards(self, tmp_path):
-        for shard, value in ((0, 3), (1, 4)):
-            w = MetricsWriter(
-                str(tmp_path / f"metrics-shard{shard:04d}.jsonl"),
-                interval=0.0)
-            w.flush(self._snap(1))       # stale snapshot
-            w.flush(self._snap(value))   # latest wins per shard
-        merged = merge_latest_metrics(
-            sorted(str(p) for p in tmp_path.glob("*.jsonl")))
-        assert merged["counters"]["repro_x_total"] == 7
-        assert merged["stats"]["repro_s_total"] == 7
-
-    def test_merge_folds_histograms_bucketwise(self, tmp_path):
-        for shard in (0, 1):
-            snap = {"counters": {}, "gauges": {"repro_g": shard},
-                    "stats": {},
-                    "histograms": {"repro_h": {
-                        "buckets": {"1.0": 2, "+Inf": 3},
-                        "sum": 1.5, "count": 3}}}
-            w = MetricsWriter(
-                str(tmp_path / f"metrics-shard{shard:04d}.jsonl"),
-                interval=0.0)
-            w.flush(snap)
-        merged = merge_latest_metrics(
-            sorted(str(p) for p in tmp_path.glob("*.jsonl")))
-        assert merged["histograms"]["repro_h"]["buckets"]["1.0"] == 4
-        assert merged["histograms"]["repro_h"]["count"] == 6
-        assert merged["histograms"]["repro_h"]["sum"] == pytest.approx(3.0)
-        assert merged["gauges"]["repro_g"] == 1  # last value
-
-    def test_records_are_json_per_line(self, tmp_path):
-        path = str(tmp_path / "m.jsonl")
-        MetricsWriter(path, interval=0.0).flush(self._snap(1))
-        with open(path) as f:
-            for line in f:
-                json.loads(line)

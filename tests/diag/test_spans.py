@@ -3,7 +3,6 @@ sink, and the phase cheap tier."""
 
 import json
 
-from repro.diag import flat_delta
 from repro.diag.spans import (
     NULL_SPAN,
     SPAN_SCHEMA,
@@ -149,13 +148,3 @@ class TestInstallation:
             set_collector(old)
         assert current_collector() is old
 
-
-class TestStatsDelta:
-    def test_flat_delta_reports_only_increments(self):
-        before = {"refine/num-checks": 2, "perf/num-memo-hits": 1}
-        after = {"refine/num-checks": 5, "perf/num-memo-hits": 1,
-                 "interp/num-plans-compiled": 4}
-        assert flat_delta(before, after) == {
-            "refine/num-checks": 3,
-            "interp/num-plans-compiled": 4,
-        }

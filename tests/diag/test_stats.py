@@ -1,4 +1,5 @@
-"""The statistics registry: registration, sharing, reset, emission."""
+"""The statistics registry: registration, sharing, reset, emission,
+and the increment journal."""
 
 import json
 
@@ -8,6 +9,7 @@ from repro.diag import (
     default_registry,
     format_stats,
     reset_stats,
+    stats_delta,
     stats_snapshot,
 )
 
@@ -107,6 +109,43 @@ class TestSnapshotsAndJson:
 
     def test_format_text_with_no_counters(self):
         assert "(no statistics collected)" in StatsRegistry().format_text()
+
+
+class TestJournal:
+    def test_journal_delta_is_the_flattened_snapshot_delta(self):
+        reg = StatsRegistry()
+        checks = Statistic("refine", "num-checks", registry=reg)
+        hits = Statistic("perf", "num-memo-hits", registry=reg)
+        plans = Statistic("interp", "num-plans-compiled", registry=reg)
+        untouched = Statistic("gvn", "num-gvn-instr", registry=reg)
+        checks.inc(2)  # before the journal: in neither delta
+        untouched.inc()
+        reg.start_journal()
+        try:
+            hits.inc()  # before the mark: in neither delta
+            before = reg.snapshot()
+            mark = reg.journal_mark()
+            checks.inc()
+            plans.inc(4)
+            checks.inc(2)
+            hits.inc(3)
+            hits.inc(-3)  # nets to zero: absent from both
+            after = reg.snapshot()
+            journal = reg.journal_delta(mark)
+        finally:
+            reg.stop_journal()
+        flattened = {f"{pass_name}/{name}": value
+                     for pass_name, counters in stats_delta(
+                         before, after).items()
+                     for name, value in counters.items()}
+        assert journal == flattened == {"refine/num-checks": 3,
+                                        "interp/num-plans-compiled": 4}
+
+    def test_inactive_journal_reports_nothing(self):
+        reg = StatsRegistry()
+        Statistic("refine", "num-checks", registry=reg).inc()
+        assert reg.journal_mark() == 0
+        assert reg.journal_delta(0) == {}
 
 
 class TestCompilerCounters:

@@ -302,6 +302,32 @@ class TestCampaign:
 
         serve(scenario, config)
 
+    def test_request_cannot_choose_where_the_server_writes(self, tmp_path):
+        config = ServiceConfig(workers=1, check_threads=1,
+                               batch_linger=0.0,
+                               memo_dir=str(tmp_path / "memo"))
+        trace_dir = tmp_path / "caller-spans"
+        cache_dir = tmp_path / "caller-memo"
+        named = {"trace_dir": str(trace_dir), "cache_dir": str(cache_dir)}
+
+        async def scenario(service):
+            for payload in ({"spec": dict(self.SPEC, **named)},
+                            {"spec": dict(self.SPEC, trace_dir=named[
+                                "trace_dir"])},
+                            dict(self.SPEC, cache_dir=named["cache_dir"]),
+                            dict(named, spec=self.SPEC)):
+                with pytest.raises(ServiceError) as err:
+                    await call(service, "campaign", payload)
+                assert err.value.code == "bad-request", payload
+            with pytest.raises(ServiceError) as err:
+                await call(service, "refine",
+                           {"functions": [SRC], "cache_dir": str(cache_dir)})
+            assert err.value.code == "bad-request"
+
+        serve(scenario, config)
+        assert not trace_dir.exists()
+        assert not cache_dir.exists()
+
 
 class TestRequestDiscipline:
     def test_timeout_is_structured(self):
