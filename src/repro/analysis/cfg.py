@@ -6,6 +6,7 @@ from typing import Dict, List, Set
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
+from ..ir.values import PoisonValue
 
 
 def successors(block: BasicBlock) -> List[BasicBlock]:
@@ -72,8 +73,6 @@ def postorder(fn: Function) -> List[BasicBlock]:
 def remove_unreachable_blocks(fn: Function) -> int:
     """Delete blocks not reachable from entry; fix up phi nodes in the
     survivors.  Returns the number of removed blocks."""
-    from ..ir.instructions import PhiInst
-
     reachable = reachable_blocks(fn)
     dead = [b for b in fn.blocks if b not in reachable]
     if not dead:
@@ -95,8 +94,6 @@ def remove_unreachable_blocks(fn: Function) -> int:
 
 
 def _poison_like(inst):
-    from ..ir.values import PoisonValue
-
     if inst.type.is_void:
         return inst
     return PoisonValue(inst.type)

@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Set
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import Instruction, PhiInst
+from ..ir.values import Argument, Constant
 from .cfg import predecessor_map, reverse_postorder
 
 
@@ -88,8 +89,6 @@ class DominatorTree:
         """Does the *definition* dominate the *use*?  Handles same-block
         ordering and the phi-use rule (a phi use is tested at the end of
         the corresponding incoming block)."""
-        from ..ir.values import Argument, Constant
-
         if isinstance(def_inst, (Constant, Argument)):
             return True
         def_block = def_inst.parent
@@ -105,8 +104,6 @@ class DominatorTree:
     def dominates_edge(self, def_inst, pred_block: BasicBlock) -> bool:
         """For a phi incoming (value, pred): the def must dominate the end
         of the predecessor block."""
-        from ..ir.values import Argument, Constant
-
         if isinstance(def_inst, (Constant, Argument)):
             return True
         return self.dominates_block(def_inst.parent, pred_block)

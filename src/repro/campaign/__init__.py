@@ -8,7 +8,7 @@ CLI (``python -m repro campaign run|resume|reduce|report``) integrated
 with the observability layer.
 """
 
-from .canon import DedupCache, canonical_function, canonical_hash, canonical_text
+from .canon import DedupCache, canonical_hash, canonical_text
 from .checkpoint import (
     CheckpointStore,
     load_manifest,
@@ -58,8 +58,8 @@ __all__ = [
     "DedupCache", "ReductionResult", "Shard", "ShardExecutor",
     "SupervisorPolicy", "WorkerSupervisor", "account_records",
     "aggregate_records", "book_records", "merge_worker_stats",
-    "campaign_main", "canonical_function", "canonical_hash",
-    "canonical_text", "iter_shard_functions", "load_manifest",
+    "campaign_main", "canonical_hash", "canonical_text",
+    "iter_shard_functions", "load_manifest",
     "load_manifest_payload", "load_spec", "load_summary",
     "make_failure_oracle",
     "manifest_kind", "plan_attack_shards", "plan_shards",

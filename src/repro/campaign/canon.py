@@ -7,9 +7,10 @@ optimizing and refinement-checking both wastes a full checker run.
 arguments become ``%c0, %c1, ...`` in signature order, blocks ``b0,
 b1, ...`` in layout order, instruction results ``%t0, %t1, ...`` in
 program order — and :func:`canonical_hash` is the SHA-256 of that text.
-Renaming happens on a private copy (a structural clone of a
-:class:`Function`, a parse of text), so the input function is never
-mutated.
+A :class:`Function` is renamed in place for the printer and every name
+is restored before :func:`canonical_text` returns or raises, so hashing
+clones nothing and leaves the input as it found it; text is parsed
+first.
 
 The guarantee the campaign engine relies on (and the property tests
 enforce): the printed IR round-trips through the parser, and canonical
@@ -19,44 +20,35 @@ hashing is invariant under any consistent renaming of values and blocks.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..ir import Function, parse_function, print_function
-from ..opt.resilience.snapshot import copy_function, discard_snapshot
+from ..ir import Function, Value, parse_function, print_function
 
 # Not used here, but the end-to-end benchmark's tracer
 # (benchmarks/e2e/tracing.py) wraps these names in this module.
 from ..ir import parse_module, print_module  # noqa: F401
 
 
-def canonical_function(fn: Union[Function, str]) -> Function:
-    """A private copy of ``fn`` renamed into the canonical namespace
-    (``%cN`` args, ``bN`` blocks, ``%tN`` results).
-
-    Text is parsed; a :class:`Function` is cloned structurally, sharing
-    its constants, globals and callees, so the caller should hand the
-    copy to :func:`~repro.opt.resilience.snapshot.discard_snapshot` when
-    done with it."""
-    copy = parse_function(fn) if isinstance(fn, str) else copy_function(fn)
-    copy.name = "f"
-    for i, arg in enumerate(copy.args):
-        arg.name = f"c{i}"
-    for i, block in enumerate(copy.blocks):
-        block.name = f"b{i}"
-    n = 0
-    for inst in copy.instructions():
-        if not inst.type.is_void:
-            inst.name = f"t{n}"
-            n += 1
-    return copy
-
-
 def canonical_text(fn: Union[Function, str]) -> str:
-    """The function's text with canonical value/block/function names."""
-    copy = canonical_function(fn)
-    text = print_function(copy)
-    discard_snapshot(copy)
-    return text
+    """The function's text with canonical value/block/function names.
+
+    A :class:`Function` is renamed in place, printed, and given its own
+    names back, also when printing raises; text is parsed first."""
+    if isinstance(fn, str):
+        fn = parse_function(fn)
+    results = [inst for inst in fn.instructions() if not inst.type.is_void]
+    renames: List[Tuple[Value, str]] = [(fn, "f")]
+    renames += [(arg, f"c{i}") for i, arg in enumerate(fn.args)]
+    renames += [(block, f"b{i}") for i, block in enumerate(fn.blocks)]
+    renames += [(inst, f"t{i}") for i, inst in enumerate(results)]
+    names = [value.name for value, _ in renames]
+    try:
+        for value, name in renames:
+            value.name = name
+        return print_function(fn)
+    finally:
+        for (value, _), name in zip(renames, names):
+            value.name = name
 
 
 def canonical_hash(fn: Union[Function, str]) -> str:

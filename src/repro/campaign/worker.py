@@ -120,14 +120,15 @@ def _maybe_crash(shard_id: int) -> None:
             time.sleep(60)
 
 
-def check_function(spec: CampaignSpec, fn, src_text: str, h: str,
+def check_function(spec: CampaignSpec, fn, h: str,
                    memo: Optional[RefinementMemo] = None,
                    options=None, semantics=None) -> dict:
     """Optimize ``fn`` in place and refinement-check it against a copy
     of itself taken before the pipeline runs — the per-function unit of
     a shard, reusable outside the shard loop (the serve layer batches
-    requests through it).  ``src_text`` is ``fn``'s module text, which
-    crash and counterexample records carry.
+    requests through it).  Crash and counterexample records carry
+    ``fn``'s module text as it was before the pipeline, printed from
+    that copy only when a record needs it.
 
     Returns an outcome dict: ``status`` is ``"memo-replay"``,
     ``"crashed"``, or ``"checked"`` (with ``verdict``); crash and
@@ -150,14 +151,17 @@ def check_function(spec: CampaignSpec, fn, src_text: str, h: str,
             return outcome
 
     # The source side of the check: a copy, so each function is parsed
-    # at most once.  It shares fn's constants and callees, so it is
-    # discarded once checked to keep their use lists from growing.
+    # at most once.  A guarded pipeline takes it as its first snapshot,
+    # so a run that changes nothing clones nothing more.  It shares fn's
+    # constants and callees, so it is discarded once checked to keep
+    # their use lists from growing.
     before = copy_function(fn, module=fn.module)
     pipeline = spec.make_pipeline()
     try:
-        pipeline.run_on_function(fn)
+        pipeline.run_on_function(fn, pristine=before)
         verify_function(fn)
     except Exception as e:
+        source = _source_text(fn, before)
         discard_snapshot(before)
         # A failure the policy did not absorb: GuardedPassError under
         # strict, or a raw crash/verifier rejection from an unguarded
@@ -172,7 +176,7 @@ def check_function(spec: CampaignSpec, fn, src_text: str, h: str,
                 "kind": failure.kind if failure else "exception",
                 "error": repr(e),
                 "traceback": traceback_module.format_exc(),
-                "source": src_text,
+                "source": source,
             })
         return outcome
 
@@ -182,6 +186,7 @@ def check_function(spec: CampaignSpec, fn, src_text: str, h: str,
 
     try:
         result = check_refinement(before, fn, semantics, options=options)
+        source = _source_text(fn, before) if result.failed else None
     except CrossCheckMismatch as e:
         # Engine disagreement under --cross-check: a checker bug, not a
         # pipeline bug.  Record it like a crash — no verdict, retried
@@ -194,7 +199,7 @@ def check_function(spec: CampaignSpec, fn, src_text: str, h: str,
                 "kind": "cross-check-mismatch",
                 "error": repr(e),
                 "traceback": traceback_module.format_exc(),
-                "source": src_text,
+                "source": _source_text(fn, before),
             })
         return outcome
     finally:
@@ -220,12 +225,24 @@ def check_function(spec: CampaignSpec, fn, src_text: str, h: str,
     if result.failed:
         outcome["counterexample"] = {
             "hash": h,
-            "source": src_text,
+            "source": source,
             "optimized": print_function(fn),
             "counterexample": str(result.counterexample),
             "inputs_checked": result.inputs_checked,
         }
     return outcome
+
+
+def _source_text(fn, pristine) -> str:
+    """``fn``'s module text as it was before the pipeline ran: the
+    module printed with the untouched copy ``pristine`` in ``fn``'s
+    place (the pipeline changes no other function of the module)."""
+    functions = fn.module.functions
+    functions[fn.name] = pristine
+    try:
+        return print_module(fn.module)
+    finally:
+        functions[fn.name] = fn
 
 
 def check_source(spec: CampaignSpec, src_text: str,
@@ -237,9 +254,8 @@ def check_source(spec: CampaignSpec, src_text: str,
     does for one corpus function, so service verdicts are byte-for-byte
     the batch CLI's verdicts on the same source."""
     fn = parse_function(src_text)
-    canonical_src = print_module(fn.module)
-    return check_function(spec, fn, canonical_src, canonical_hash(fn),
-                          memo=memo, options=options, semantics=semantics)
+    return check_function(spec, fn, canonical_hash(fn), memo=memo,
+                          options=options, semantics=semantics)
 
 
 def run_shard(spec: CampaignSpec, shard: Shard,
@@ -300,7 +316,6 @@ def _run_shard_body(spec: CampaignSpec, shard: Shard,
     with collector.span("shard", cat="campaign") as shard_span:
         for offset, fn in enumerate(iter_shard_functions(spec, shard)):
             index = shard.start + offset
-            src_text = print_module(fn.module)
             h = canonical_hash(fn)
             if recorder is not None:
                 recorder.record("check-function", shard=shard.shard_id,
@@ -312,8 +327,8 @@ def _run_shard_body(spec: CampaignSpec, shard: Shard,
                     if cache.lookup(h) is not None:
                         sp.set(outcome="dedup-hit")
                         continue
-                    outcome = check_function(spec, fn, src_text, h,
-                                             memo=memo, options=options,
+                    outcome = check_function(spec, fn, h, memo=memo,
+                                             options=options,
                                              semantics=semantics)
                     recoveries += outcome["recoveries"]
                     bundles.extend(outcome["bundles"])

@@ -168,12 +168,9 @@ STAT_PATTERNS: Set[Tuple[str, str]] = {
     ("refine", "num-vector-ineligible-*"),
 }
 
-#: First-class (non-stat-derived) metric names the diag layer exports.
+#: First-class (non-stat-derived) metric names the diag layer exports:
+#: the validation service front-end's gauges and histogram.
 METRIC_CATALOG: Set[str] = {
-    "repro_worker_uptime_seconds",
-    "repro_worker_functions_inflight",
-    "repro_span_seconds",
-    # validation service front-end
     "repro_serve_queue_depth",
     "repro_serve_inflight",
     "repro_serve_request_seconds",

@@ -5,8 +5,9 @@
 breakdown, so the compile-time experiment (E2) can see not just that a
 pipeline got slower but *which pass on which function* did.  Timing is
 recorded through the :meth:`PassTiming.measure` context manager, whose
-``finally``-based accounting guarantees a pass that raises mid-run still
-gets its wall time and run count recorded (no orphaned seconds).
+``__exit__`` accounts whether or not the block raised, so a pass that
+raises mid-run still gets its wall time and run count recorded (no
+orphaned seconds).
 
 One :class:`PassTiming` may be shared by several :class:`PassManager`
 instances (the harness threads a single collector through the -O2 and
@@ -18,9 +19,8 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
 
 @dataclass
@@ -55,7 +55,9 @@ class PassStats:
         self.seconds += seconds
         if changed:
             self.changes += 1
-        rec = self.per_function.setdefault(function, TimeRecord())
+        rec = self.per_function.get(function)
+        if rec is None:
+            rec = self.per_function[function] = TimeRecord()
         rec.runs += 1
         rec.seconds += seconds
         if changed:
@@ -75,13 +77,25 @@ class PassStats:
 
 
 class _Measurement:
-    """Handle yielded by :meth:`PassTiming.measure`; the caller sets
-    ``changed`` before the block exits."""
+    """The context manager :meth:`PassTiming.measure` returns, and the
+    handle it yields: the caller sets ``changed`` before the block
+    exits.  A plain slotted class, not a ``contextlib`` generator: it
+    runs once per pass application."""
 
-    __slots__ = ("changed",)
+    __slots__ = ("stats", "function", "start", "changed")
 
-    def __init__(self):
+    def __init__(self, stats: PassStats, function: str):
+        self.stats = stats
+        self.function = function
         self.changed = False
+
+    def __enter__(self) -> "_Measurement":
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stats.record(self.function, time.perf_counter() - self.start,
+                          self.changed)
 
 
 class PassTiming:
@@ -90,20 +104,15 @@ class PassTiming:
     def __init__(self):
         self.passes: Dict[str, PassStats] = {}
 
-    @contextmanager
-    def measure(self, pass_name: str,
-                function: str) -> Iterator[_Measurement]:
+    def measure(self, pass_name: str, function: str) -> _Measurement:
         """Time one pass invocation on one function.  Accounting happens
-        in a ``finally`` block, so a pass that raises still records its
-        elapsed time together with a matching ``runs`` increment."""
-        stats = self.passes.setdefault(pass_name, PassStats())
-        handle = _Measurement()
-        start = time.perf_counter()
-        try:
-            yield handle
-        finally:
-            stats.record(function, time.perf_counter() - start,
-                         handle.changed)
+        on exit whether or not the block raised, so a pass that raises
+        still records its elapsed time together with a matching ``runs``
+        increment."""
+        stats = self.passes.get(pass_name)
+        if stats is None:
+            stats = self.passes[pass_name] = PassStats()
+        return _Measurement(stats, function)
 
     # -- queries ------------------------------------------------------------
     def total_seconds(self) -> float:

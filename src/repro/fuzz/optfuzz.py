@@ -26,6 +26,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from ..diag import Statistic
 from ..ir import (
     BinaryInst,
+    ConstantInt,
     Function,
     FunctionType,
     IcmpInst,
@@ -91,8 +92,6 @@ def _materialize(specs: Sequence[_Spec], width: int, num_args: int,
     block = BasicBlock("entry", parent=fn)
 
     pool: List[Value] = list(fn.args)
-    from ..ir.values import ConstantInt
-
     for c in range(1 << width):
         pool.append(ConstantInt(ty, c))
     if deferred:

@@ -115,9 +115,7 @@ def _fold_binary(inst: BinaryInst, config: SemanticsConfig) -> Optional[Constant
 
 
 def _fold_icmp(inst: IcmpInst) -> Optional[Constant]:
-    from ..ir.types import IntType as IT
-
-    if not isinstance(inst.lhs.type, IT):
+    if not isinstance(inst.lhs.type, IntType):
         return None
     width = inst.lhs.type.bits
     i1 = IntType(1)

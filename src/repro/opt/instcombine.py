@@ -44,6 +44,7 @@ from ..ir.instructions import (
 from ..ir.types import IntType
 from ..ir.values import ConstantInt, UndefValue, Value
 from ..semantics.config import SelectSemantics
+from .dce import is_trivially_dead
 from .instsimplify import simplify_instruction
 from .pass_manager import FunctionPass, OptConfig
 
@@ -108,8 +109,6 @@ class InstCombine(FunctionPass):
                         changed = progress = True
             # like LLVM's InstCombine, sweep instructions the rewrites
             # just made dead
-            from .dce import is_trivially_dead
-
             for block in fn.blocks:
                 for inst in list(reversed(block.instructions)):
                     if is_trivially_dead(inst):
@@ -424,8 +423,6 @@ class InstCombine(FunctionPass):
                     inst, IcmpInst(inst.pred, xor.lhs, c, inst.name)
                 )
         # icmp ne (zext c), 0 -> c; icmp eq (zext c), 0 -> not c
-        from ..ir.instructions import CastInst
-
         if inst.pred.is_equality and rc.is_zero \
                 and isinstance(inst.lhs, CastInst) \
                 and inst.lhs.opcode is Opcode.ZEXT \

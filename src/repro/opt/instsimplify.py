@@ -22,10 +22,12 @@ from ..ir.instructions import (
 )
 from ..ir.types import IntType
 from ..ir.values import ConstantInt, UndefValue, Value
+from ..analysis.poison_flow import analyze_poison_flow
 from ..analysis.value_tracking import (
     compute_known_bits,
     is_guaranteed_not_poison,
 )
+from ..semantics.config import NEW
 from .constfold import try_constant_fold
 from .pass_manager import FunctionPass
 
@@ -41,8 +43,6 @@ def simplify_instruction(inst: Instruction,
     refinement at this instruction's block), which proves strictly more
     facts than the shallow walk.
     """
-    from ..semantics.config import NEW
-
     semantics = config.semantics if config is not None else NEW
     folded = try_constant_fold(inst, semantics)
     if folded is not None:
@@ -182,9 +182,8 @@ def _fold_icmp_by_known_bits(inst: IcmpInst) -> Optional[Value]:
     substitute is covered by it; no ``is_guaranteed_not_poison`` check is
     needed (contrast with LICM's hoisting client, which does need one).
     """
-    from ..ir.instructions import Instruction as _Inst
-
-    if not isinstance(inst.lhs, _Inst) and not isinstance(inst.rhs, _Inst):
+    if (not isinstance(inst.lhs, Instruction)
+            and not isinstance(inst.rhs, Instruction)):
         return None
     ka = compute_known_bits(inst.lhs)
     kb = compute_known_bits(inst.rhs)
@@ -261,8 +260,6 @@ class InstSimplify(FunctionPass):
     use_flow = True
 
     def run_on_function(self, fn: Function) -> bool:
-        from ..analysis.poison_flow import analyze_poison_flow
-
         flow = (analyze_poison_flow(fn, self.config.semantics)
                 if self.use_flow else None)
         changed = False

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
+from ..analysis.cfg import predecessor_map, remove_unreachable_blocks
 from ..analysis.dominators import DominatorTree
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function, unique_name
@@ -51,8 +52,6 @@ class Mem2Reg(FunctionPass):
             return False
         # The renaming walk only covers reachable blocks; drop the rest
         # first so no stale load/store keeps the alloca alive.
-        from ..analysis.cfg import remove_unreachable_blocks
-
         remove_unreachable_blocks(fn)
         allocas = [
             inst for inst in fn.instructions()
@@ -126,8 +125,6 @@ class Mem2Reg(FunctionPass):
 
         # Prune phis in unreachable-from-def positions with missing
         # incoming edges (preds never visited): give them uninit.
-        from ..analysis.cfg import predecessor_map
-
         preds = predecessor_map(fn)
         for block, phi in phis.items():
             have = set(phi.incoming_blocks)

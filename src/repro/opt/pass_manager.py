@@ -200,9 +200,11 @@ class PassManager:
         self.passes = passes
         self.max_iterations = max_iterations
         self.timing = timing if timing is not None else PassTiming()
-        #: the passes' memo keys, computed on the first run (a pipeline
-        #: that is only built to be wrapped never pays for them)
-        self._keys: Optional[List[Optional[int]]] = None
+        #: the passes' memo keys (:func:`pass_memo_keys`):
+        #: ``build_pipeline`` shares one list per pipeline shape, and
+        #: otherwise they are computed on the first run (a pipeline that
+        #: is only built to be wrapped never pays for them)
+        self.memo_keys: Optional[List[Optional[int]]] = None
 
     @property
     def stats(self) -> Dict[str, PassStats]:
@@ -219,14 +221,21 @@ class PassManager:
             changed_any |= self.run_on_function(fn)
         return changed_any
 
-    def run_on_function(self, fn: Function) -> bool:
+    def run_on_function(self, fn: Function, *,
+                        pristine: Optional[Function] = None) -> bool:
+        """Run the pipeline on ``fn``; whether anything changed.
+
+        ``pristine`` is an untouched copy of ``fn`` that the caller
+        keeps (:func:`~repro.opt.resilience.snapshot.copy_function`).
+        The guarded manager takes it as its first snapshot; this one
+        keeps no snapshot and ignores it."""
         # Keys of the passes that ran to no change on fn's current
         # state; emptied whenever that state may have changed.
         settled = set()
         skipped = 0
-        keys = self._keys
+        keys = self.memo_keys
         if keys is None:
-            keys = self._keys = _memo_keys(self.passes)
+            keys = self.memo_keys = pass_memo_keys(self.passes)
         changed_any = False
         for _ in range(self.max_iterations):
             changed = False
@@ -268,7 +277,7 @@ class PassManager:
         return bool(m.changed)
 
 
-def _memo_keys(passes: List[FunctionPass]) -> List[Optional[int]]:
+def pass_memo_keys(passes: List[FunctionPass]) -> List[Optional[int]]:
     """Each pass's memo key as a small int (equal keys, equal ints), or
     None for a pass that is never skipped."""
     ids: Dict[Hashable, int] = {}

@@ -37,7 +37,9 @@ from .instsimplify import InstSimplify
 from .licm import LICM
 from .loop_unswitch import LoopUnswitch
 from .mem2reg import Mem2Reg
-from .pass_manager import FunctionPass, OptConfig, PassManager
+from .pass_manager import (
+    FunctionPass, OptConfig, PassManager, pass_memo_keys,
+)
 from .poison_check import PoisonFlowCheck
 from .reassociate import Reassociate
 from .sccp import SCCP
@@ -67,6 +69,10 @@ PIPELINES: Dict[str, Tuple[Tuple[Type[FunctionPass], ...], int]] = {
     "codegen": ((CodeGenPrepare, FreezeOpts, DCE), 1),
     **{name: ((cls,), 1) for name, cls in PASSES.items()},
 }
+
+#: the pass memo keys of each pipeline shape, by (name, config): every
+#: pipeline of one shape has equal passes, so they share one key list.
+_MEMO_KEYS: Dict[Tuple[str, OptConfig], List[Optional[int]]] = {}
 
 
 def build_pipeline(name: str = "o2", config: Optional[OptConfig] = None,
@@ -104,24 +110,32 @@ def build_pipeline(name: str = "o2", config: Optional[OptConfig] = None,
     passes: List[FunctionPass] = [cls(config) for cls in classes]
     if (policy == "none" and not verify_each and chaos is None
             and bisect_limit is None and crash_dir is None):
-        return PassManager(passes, max_iterations=max_iterations,
-                           timing=timing)
-    # Imported here: the resilience package imports this module.
-    from .resilience.chaos import wrap_with_chaos
-    from .resilience.guard import (
-        POLICY_RECOVER, POLICY_STRICT, GuardedPassManager,
-    )
+        manager = PassManager(passes, max_iterations=max_iterations,
+                              timing=timing)
+    else:
+        # Imported here: the resilience package imports this module.
+        from .resilience.chaos import wrap_with_chaos
+        from .resilience.guard import (
+            POLICY_RECOVER, POLICY_STRICT, GuardedPassManager,
+        )
 
-    if policy == "none":
-        policy = POLICY_RECOVER if chaos is not None else POLICY_STRICT
-    if chaos is not None:
-        passes = wrap_with_chaos(passes, chaos)
-    return GuardedPassManager(
-        passes, max_iterations=max_iterations, timing=timing,
-        policy=policy, verify_each=verify_each, forbid_undef=forbid_undef,
-        quarantine_after=quarantine_after, bisect_limit=bisect_limit,
-        crash_dir=crash_dir, seed=chaos.seed if chaos is not None else None,
-    )
+        if policy == "none":
+            policy = POLICY_RECOVER if chaos is not None else POLICY_STRICT
+        if chaos is not None:
+            passes = wrap_with_chaos(passes, chaos)
+        manager = GuardedPassManager(
+            passes, max_iterations=max_iterations, timing=timing,
+            policy=policy, verify_each=verify_each,
+            forbid_undef=forbid_undef, quarantine_after=quarantine_after,
+            bisect_limit=bisect_limit, crash_dir=crash_dir,
+            seed=chaos.seed if chaos is not None else None)
+    # chaos-wrapped passes compute their own keys on the first run
+    if chaos is None:
+        keys = _MEMO_KEYS.get((name, config))
+        if keys is None:
+            keys = _MEMO_KEYS[(name, config)] = pass_memo_keys(passes)
+        manager.memo_keys = keys
+    return manager
 
 
 def o2_pipeline(config: Optional[OptConfig] = None,

@@ -6,11 +6,14 @@ and ``-opt-bisect-limit``; this module is our analog.
 :class:`~repro.opt.pass_manager.PassManager` but keeps a snapshot of
 the function it is running and treats a raised exception *or* a
 ``verify-each`` rejection as a recoverable event.  The snapshot is kept
-across unchanged applications and taken again after a change or
-rollback: a pass that reports no change must leave the function
-untouched (tests/opt/test_change_honesty.py checks every o2 pass), so
-one clone per change replaces one clone per application and the
-snapshot is still exactly the pre-application state.  On a failure:
+across unchanged applications and taken again after a change: a pass
+that reports no change must leave the function untouched
+(tests/opt/test_change_honesty.py checks every o2 pass), so one clone
+per change replaces one clone per application and the snapshot is
+still exactly the pre-application state.  A caller holding an untouched
+copy of the function lends it as the first snapshot
+(``run_on_function(fn, pristine=copy)``), so a run in which nothing
+changes clones nothing.  On a failure:
 
 * the function rolls back to the pre-pass snapshot,
 * a ``resilience`` remark and stats (``resilience/num-recoveries`` plus
@@ -59,6 +62,7 @@ from .snapshot import (
     discard_snapshot,
     print_standalone,
     restore_function,
+    retarget_calls,
 )
 
 POLICY_STRICT = "strict"
@@ -159,6 +163,9 @@ class GuardedPassManager(PassManager):
         #: the pre-application state of the function being run; kept
         #: across applications that report no change.
         self._snapshot: Optional[Function] = None
+        #: the caller's untouched copy lent for this run, if any: it may
+        #: be the snapshot, but is never consumed or discarded.
+        self._lent: Optional[Function] = None
 
     # -- queries -----------------------------------------------------------
     @property
@@ -170,13 +177,29 @@ class GuardedPassManager(PassManager):
         return self.applications[index - 1]
 
     # -- execution ---------------------------------------------------------
-    def run_on_function(self, fn: Function) -> bool:
+    def run_on_function(self, fn: Function, *,
+                        pristine: Optional[Function] = None) -> bool:
+        self._snapshot = self._lent = pristine
         try:
             return super().run_on_function(fn)
         finally:
-            if self._snapshot is not None:
-                discard_snapshot(self._snapshot)
-                self._snapshot = None
+            self._drop_snapshot()
+            self._lent = None
+
+    def _drop_snapshot(self) -> None:
+        snapshot, self._snapshot = self._snapshot, None
+        if snapshot is not None and snapshot is not self._lent:
+            discard_snapshot(snapshot)
+
+    def _rollback_source(self, fn: Function) -> Function:
+        """A snapshot for :func:`restore_function` to consume.  A lent
+        copy is cloned, with its recursive calls pointed back at ``fn``,
+        and stays the snapshot: the rollback returns ``fn`` to it."""
+        snapshot = self._snapshot
+        if snapshot is self._lent:
+            return retarget_calls(clone_function(snapshot), snapshot, fn)
+        self._snapshot = None
+        return snapshot
 
     def _apply(self, p: FunctionPass, fn: Function,
                skip: bool) -> Optional[bool]:
@@ -203,13 +226,12 @@ class GuardedPassManager(PassManager):
                     verify_function(fn, forbid_undef=self.forbid_undef)
             except Exception as e:
                 sp.set(failed=True)
-                snapshot, self._snapshot = self._snapshot, None
+                snapshot = self._rollback_source(fn)
                 self._handle_failure(p, fn, snapshot, e, index)
                 return None
             sp.set(changed=m.changed)
             if m.changed:
-                discard_snapshot(self._snapshot)
-                self._snapshot = None
+                self._drop_snapshot()
             return bool(m.changed)
 
     # -- failure handling --------------------------------------------------

@@ -1,21 +1,27 @@
 """Function snapshots: detached deep clones for rollback.
 
-The guarded pass manager snapshots a function before the first pass
-application of a run.  The snapshot is kept across unchanged
-applications and taken again after a change or rollback, so it always
-holds the state just before the current application.  A snapshot is a structural deep copy of the function body
-(blocks and instructions cloned, external references — arguments,
-constants, callees, globals — shared), detached from any module, so
-taking one never mutates the function or its module.
+The guarded pass manager keeps a snapshot of the function it is running:
+the state just before the current application.  It is kept across
+unchanged applications and taken again after a change or rollback.  A
+caller that already holds an untouched copy of the function
+(:func:`copy_function`, as a campaign's source side) can lend it as the
+first snapshot, so a run in which no application changes anything
+makes no clone at all.  A snapshot is a structural deep copy of the
+function body (blocks and instructions cloned, external references —
+arguments, constants, callees, globals — shared), detached from any
+module, so taking one never mutates the function or its module.
 
 On a pass failure the snapshot is transplanted back
 (:func:`restore_function`), which restores the function byte-for-byte
 (same printer output) while keeping the *identity* of the
 :class:`~repro.ir.function.Function` object — callers and the module
-symbol table keep working.  After a change, and at the end of the run,
-the snapshot is discarded (:func:`discard_snapshot`), unlinking its
-operand uses so the use lists of shared values (arguments, constants)
-do not accumulate stale entries across thousands of pass applications.
+symbol table keep working.  A lent copy is never transplanted: the
+rollback clones it, pointing its recursive calls back at the live
+function, and the lender keeps it whole.  After a change, and at the
+end of the run, a snapshot the guard took itself is discarded
+(:func:`discard_snapshot`), unlinking its operand uses so the use lists
+of shared values (arguments, constants) do not accumulate stale entries
+across thousands of pass applications.
 """
 
 from __future__ import annotations
@@ -80,10 +86,15 @@ def copy_function(fn: Function, module=None) -> Function:
     that stands for the original on its own, where a snapshot keeps
     calling the live function it is restored into."""
     copy = clone_function(fn, module=module)
-    for inst in copy.instructions():
-        if isinstance(inst, CallInst) and inst.callee is fn:
-            inst.callee = copy
-    return copy
+    return retarget_calls(copy, fn, copy)
+
+
+def retarget_calls(fn: Function, old: Function, new: Function) -> Function:
+    """Point every call in ``fn`` to ``old`` at ``new``; returns ``fn``."""
+    for inst in fn.instructions():
+        if isinstance(inst, CallInst) and inst.callee is old:
+            inst.callee = new
+    return fn
 
 
 def restore_function(fn: Function, snapshot: Function) -> None:

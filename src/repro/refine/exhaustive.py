@@ -14,11 +14,12 @@ Entry point: :func:`check_refinement`.
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..diag import Statistic, phase_entries, span
+from ..diag import Statistic, default_registry, phase_entries, span
 from ..ir.function import Function
 from ..ir.types import IntType, PointerType, Type, VectorType
 from ..semantics.config import NEW, SemanticsConfig
@@ -37,7 +38,12 @@ from ..semantics.interp import (
     PlanCache,
     enumerate_behaviors,
 )
+from ..semantics.vector import VectorIneligible
 from .refinement import check_behavior_sets
+
+# Bound as a module, its names read at call time: refine.vector imports
+# this module in turn.
+from . import vector as vector_engine
 
 NUM_CHECKS = Statistic(
     "refine", "num-checks",
@@ -313,26 +319,15 @@ def _dispatch_refinement(src: Function, tgt: Function,
     if engine == "scalar":
         return _check_refinement(src, tgt, config, tgt_config, options)
 
-    # Imported lazily: refine.vector depends on this module's result
-    # types, and the scalar path must work with numpy absent.
-    from ..diag import default_registry
-    from ..semantics.vector import VectorIneligible
-    from .vector import (
-        NUM_CROSS_CHECKS,
-        NUM_VECTOR_CHECKS,
-        NUM_VECTOR_FALLBACKS,
-        check_refinement_vector,
-    )
-
     try:
-        vector_result = check_refinement_vector(src, tgt, config,
-                                                tgt_config, options)
+        vector_result = vector_engine.check_refinement_vector(
+            src, tgt, config, tgt_config, options)
     except VectorIneligible as e:
-        NUM_VECTOR_FALLBACKS.inc()
+        vector_engine.NUM_VECTOR_FALLBACKS.inc()
         default_registry().add("refine",
                                f"num-vector-ineligible-{e.reason}")
         return _check_refinement(src, tgt, config, tgt_config, options)
-    NUM_VECTOR_CHECKS.inc()
+    vector_engine.NUM_VECTOR_CHECKS.inc()
     if not options.cross_check:
         return vector_result
     scalar_result = _check_refinement(src, tgt, config, tgt_config, options)
@@ -341,7 +336,7 @@ def _dispatch_refinement(src: Function, tgt: Function,
         # The scalar run was cut short by the request's clock, which the
         # vector engine only consults at the start: nothing to compare.
         return vector_result
-    NUM_CROSS_CHECKS.inc()
+    vector_engine.NUM_CROSS_CHECKS.inc()
     if _result_key(vector_result) != _result_key(scalar_result):
         raise CrossCheckMismatch(
             f"engine disagreement on @{tgt.name}: "
@@ -411,8 +406,6 @@ def _check_refinement(src: Function, tgt: Function,
                 for args in itertools.product(*arg_spaces):
                     yield ginit, args
             return
-        import random
-
         rng = random.Random(0xC0FFEE)
         for _ in range(options.sample_inputs):
             ginit = rng.choice(global_inits)

@@ -59,6 +59,10 @@ from ..semantics.vector import (
 )
 from .refinement import check_behavior_sets
 
+# Bound as a module, its names read at call time: refine.exhaustive
+# imports this module in turn.
+from . import exhaustive
+
 try:  # pragma: no cover - exercised via the no-numpy CI leg
     import numpy as np
 except ImportError:  # pragma: no cover
@@ -179,14 +183,6 @@ def check_refinement_vector(src: Function, tgt: Function,
     """Vector-engine refinement check; byte-identical to the scalar
     engine when it returns, :class:`VectorIneligible` when it cannot
     promise that."""
-    from .exhaustive import (  # local: exhaustive imports this module's caller
-        DEADLINE_REASON,
-        NUM_DEADLINE_ABORTS,
-        Counterexample,
-        RefinementResult,
-        input_candidates,
-    )
-
     if np is None:
         raise VectorIneligible(
             "numpy-unavailable",
@@ -223,9 +219,10 @@ def check_refinement_vector(src: Function, tgt: Function,
             "input-space",
             f"input space {total} exceeds max_inputs={options.max_inputs}")
     if options.deadline is not None and time.monotonic() >= options.deadline:
-        NUM_DEADLINE_ABORTS.inc()
-        return RefinementResult(
-            "inconclusive", reason=f"{DEADLINE_REASON} expired after 0 inputs")
+        exhaustive.NUM_DEADLINE_ABORTS.inc()
+        return exhaustive.RefinementResult(
+            "inconclusive",
+            reason=f"{exhaustive.DEADLINE_REASON} expired after 0 inputs")
 
     src_out = src_plan.run(arg_lanes, total)
     tgt_out = tgt_plan.run(arg_lanes, total)
@@ -245,15 +242,15 @@ def check_refinement_vector(src: Function, tgt: Function,
                                 options.undef_expansion_cap)
     NUM_VECTOR_LANES.inc(total)
     if lane is None:
-        return RefinementResult("verified", inputs_checked=total)
+        return exhaustive.RefinementResult("verified", inputs_checked=total)
 
     # Materialize the exact scalar counterexample by re-running the
     # interpreter on the first failing input (witness selection,
     # behavior formatting, and the src-behavior listing all come from
     # the oracle itself).
     arg_spaces = [
-        input_candidates(a.type, config, options.poison_inputs,
-                         undef_inputs)
+        exhaustive.input_candidates(a.type, config, options.poison_inputs,
+                                    undef_inputs)
         for a in src.args
     ]
     args = []
@@ -286,15 +283,15 @@ def check_refinement_vector(src: Function, tgt: Function,
             "lane-disagreement",
             f"vector engine flagged lane {lane} of @{tgt.name} but the "
             f"scalar oracle does not fail it")
-    cex = Counterexample(
+    cex = exhaustive.Counterexample(
         args=args,
         arg_types=tuple(a.type for a in src.args),
         global_init=(),
         witness=oracle.witness,
         src_behaviors=tuple(src_b),
     )
-    return RefinementResult("failed", counterexample=cex,
-                            inputs_checked=lane + 1)
+    return exhaustive.RefinementResult("failed", counterexample=cex,
+                                       inputs_checked=lane + 1)
 
 
 __all__ = [

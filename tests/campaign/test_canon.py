@@ -3,7 +3,9 @@
 import pytest
 
 from repro.campaign import DedupCache, canonical_hash, canonical_text
-from repro.fuzz import enumerate_functions
+from repro.campaign import canon as canon_module
+from repro.fuzz import enumerate_functions, random_functions
+from repro.opt.resilience import snapshot as snapshot_module
 from repro.ir import parse_function, parse_module, print_function, print_module
 
 BASE = """
@@ -146,9 +148,53 @@ done:
 MODULE_LEVEL_IDS = ["global", "declaration", "recursive"]
 
 
+def _names(fn):
+    return ([fn.name] + [a.name for a in fn.args]
+            + [b.name for b in fn.blocks]
+            + [i.name for i in fn.instructions()])
+
+
+class TestInPlaceRenaming:
+    """A :class:`Function` is renamed in place for the printer, so every
+    name must come back, and no clone may be made."""
+
+    def _sample(self):
+        yield from enumerate_functions(1)
+        yield from random_functions(64, num_instructions=3, seed=1001,
+                                    include_flags=True)
+
+    def test_names_restored_and_text_path_agrees(self, monkeypatch):
+        clones = []
+        real = snapshot_module.clone_instruction
+        monkeypatch.setattr(snapshot_module, "clone_instruction",
+                            lambda inst: clones.append(inst) or real(inst))
+        for fn in self._sample():
+            names = _names(fn)
+            h = canonical_hash(fn)
+            assert _names(fn) == names
+            assert h == canonical_hash(print_module(fn.module))
+        assert not clones
+
+    @pytest.mark.parametrize("text", [BASE, RENAMED], ids=["f", "weird"])
+    def test_names_restored_when_printing_raises(self, monkeypatch, text):
+        fn = parse_function(text)
+        names = _names(fn)
+        seen = []
+
+        def failing_print(f):
+            seen.append(_names(f))
+            raise RuntimeError("printer failed")
+
+        monkeypatch.setattr(canon_module, "print_function", failing_print)
+        with pytest.raises(RuntimeError):
+            canonical_hash(fn)
+        assert seen and seen[0] != names  # renamed while printing
+        assert _names(fn) == names
+
+
 class TestModuleLevelReferences:
-    """A :class:`Function` is hashed from a clone that shares its
-    module's globals and callees; the text path parses the module."""
+    """A :class:`Function` is hashed in place, sharing its module's
+    globals and callees; the text path parses the module."""
 
     @pytest.mark.parametrize("text", MODULE_LEVEL, ids=MODULE_LEVEL_IDS)
     def test_object_and_module_text_hash_alike(self, text):

@@ -17,6 +17,8 @@ from repro.campaign.executor import NUM_CHECKED, NUM_SHARDS_ERRORED
 from repro.campaign.worker import CRASH_ENV, check_source
 from repro.diag import default_emitter
 from repro.ir import parse_function, print_module
+from repro.opt import PassManager
+from repro.opt.pass_manager import FunctionPass
 from repro.refine import check_refinement
 
 #: A corpus small enough for the test suite but rich enough to contain
@@ -87,6 +89,35 @@ rec:
             assert expected.failed
             assert outcome["counterexample"]["counterexample"] == \
                 str(expected.counterexample)
+
+
+    def test_records_carry_the_source_before_the_pipeline(self,
+                                                          monkeypatch):
+        # Records print the untouched copy in the function's place, not
+        # the function the pipeline left behind.
+        expected = print_module(parse_function(self.RECURSIVE).module)
+        spec = CampaignSpec(mode="random", num_instructions=1,
+                            pipeline="o2", opt_config="legacy")
+        failed = check_source(spec, self.RECURSIVE)
+        assert failed["counterexample"]["source"] == expected
+
+        class Wrecker(FunctionPass):
+            """Empties the function, then raises."""
+
+            name = "wrecker"
+
+            def run_on_function(self, fn):
+                for block in fn.blocks:
+                    for inst in block.instructions:
+                        inst.drop_all_operands()
+                fn.blocks = []
+                raise RuntimeError("wrecked")
+
+        monkeypatch.setattr(CampaignSpec, "make_pipeline",
+                            lambda self: PassManager([Wrecker()]))
+        crashed = check_source(spec, self.RECURSIVE)
+        assert crashed["status"] == "crashed"
+        assert crashed["crash"]["source"] == expected
 
 
 class TestWorkerCountIndependence:

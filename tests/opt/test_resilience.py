@@ -4,6 +4,7 @@ bisect, and crash bundles."""
 import pytest
 
 from repro.ir import (
+    CallInst,
     parse_function,
     parse_module,
     print_function,
@@ -38,7 +39,8 @@ from repro.opt.resilience import (
     write_bundle,
 )
 from repro.opt.resilience import guard as guard_module
-from repro.opt.resilience.snapshot import print_standalone
+from repro.opt.instcombine import InstCombine
+from repro.opt.resilience.snapshot import copy_function, print_standalone
 
 LOOPY = """
 define i8 @main(i8 %n, i1 %c) {
@@ -512,6 +514,123 @@ def test_clean_run_clones_once_plus_once_per_change(monkeypatch, config):
         changes = sum(changed for _, changed in log)
         assert len(clones) <= changes + 1, print_function(fn)
         assert pm._snapshot is None
+
+
+@pytest.mark.parametrize("config", [prototype_config(), baseline_config()],
+                         ids=["fixed", "legacy"])
+def test_lent_copy_run_clones_only_per_change(monkeypatch, config):
+    clones = []
+    real_clone = guard_module.clone_function
+
+    def counting_clone(fn):
+        clones.append(fn)
+        return real_clone(fn)
+
+    monkeypatch.setattr(guard_module, "clone_function", counting_clone)
+    base = o2_pipeline(config)
+    unchanged = 0
+    for fn in _corpus():
+        log = []
+        pm = GuardedPassManager(
+            [RecordingPass(p, log) for p in base.passes],
+            max_iterations=base.max_iterations)
+        copy = copy_function(fn, module=fn.module)
+        source = print_function(copy)
+        del clones[:]
+        pm.run_on_function(fn, pristine=copy)
+        changes = sum(changed for _, changed in log)
+        unchanged += not changes
+        # the copy is the first snapshot: a run that changes nothing
+        # clones nothing, and the copy comes back whole
+        assert len(clones) <= changes, print_function(fn)
+        assert print_function(copy) == source
+        assert pm._snapshot is None
+        discard_snapshot(copy)
+    assert unchanged
+
+
+# -- rollback from a lent copy of a self-recursive function ------------------
+REC = """define i8 @rec(i8 %x) {
+entry:
+  %a = add i8 %x, 0
+  %c = icmp eq i8 %a, 0
+  br i1 %c, label %done, label %more
+more:
+  %y = sub i8 %a, 1
+  %r = call i8 @rec(i8 %y)
+  %s = add i8 %r, 0
+  ret i8 %s
+done:
+  ret i8 0
+}"""
+
+#: REC after instcombine.
+REC_COMBINED = """define i8 @rec(i8 %x) {
+entry:
+  %c = icmp eq i8 %x, 0
+  br i1 %c, label %done, label %more
+more:
+  %y = add i8 %x, -1
+  %r = call i8 @rec(i8 %y)
+  ret i8 %r
+done:
+  ret i8 0
+}"""
+
+
+def _pre_ir(text):
+    # a rollback snapshot's recursive call targets the live function,
+    # which the bundle declares ahead of the snapshot's definition
+    return "declare i8 @rec(i8)\n\n" + text + "\n"
+
+
+#: (policy, pass layout) -> (function after the run, failing
+#: applications, each failure's bundle pre_ir): the output of the guard
+#: that cloned its own first snapshot.
+REC_RUNS = {
+    ("recover", "first"): (REC_COMBINED, [1, 3, 5],
+                           [_pre_ir(REC), _pre_ir(REC),
+                            _pre_ir(REC_COMBINED)]),
+    ("recover", "after-change"): (REC_COMBINED, [2],
+                                  [_pre_ir(REC_COMBINED)]),
+    ("strict", "first"): (REC, [1], [_pre_ir(REC)]),
+    ("strict", "after-change"): (REC_COMBINED, [2],
+                                 [_pre_ir(REC_COMBINED)]),
+}
+REC_LAYOUTS = {
+    # raises at the first application, again before any change, and
+    # once more after instcombine changed the function
+    "first": (CrashingPass, NopPass, CrashingPass, InstCombine,
+              CrashingPass),
+    "after-change": (InstCombine, CrashingPass),
+}
+
+
+@pytest.mark.parametrize("lend", [False, True], ids=["own", "lent"])
+@pytest.mark.parametrize("policy, layout", sorted(REC_RUNS))
+def test_rollback_of_a_recursive_function_from_a_lent_copy(policy, layout,
+                                                            lend):
+    fn = parse_module(REC).get_function("rec")
+    copy = copy_function(fn, module=fn.module) if lend else None
+    pm = GuardedPassManager([cls(prototype_config())
+                             for cls in REC_LAYOUTS[layout]],
+                            max_iterations=1, policy=policy)
+    if policy == "strict":
+        with pytest.raises(GuardedPassError):
+            pm.run_on_function(fn, pristine=copy)
+    else:
+        pm.run_on_function(fn, pristine=copy)
+    text, applications, pre_irs = REC_RUNS[(policy, layout)]
+    assert print_function(fn) == text
+    assert [f.application for f in pm.failures] == applications
+    assert [f.bundle["before_ir"] for f in pm.failures] == pre_irs
+    calls = [i for i in fn.instructions() if isinstance(i, CallInst)]
+    assert calls and all(i.callee is fn for i in calls)
+    if lend:
+        # the lent copy is intact and still calls itself
+        assert print_function(copy) == REC
+        assert all(i.callee is copy for i in copy.instructions()
+                   if isinstance(i, CallInst))
 
 
 GLOBALS = """

@@ -13,6 +13,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign.worker import check_source
+from repro.diag.metrics_catalog import METRIC_CATALOG
 from repro.serve.service import (
     ServiceConfig,
     ServiceError,
@@ -131,6 +132,17 @@ class TestBasicOps:
             assert stats["stats"].get("serve", {}).get("num-requests")
 
         serve(scenario)
+
+    def test_every_cataloged_metric_is_exported(self):
+        # a catalog name nothing emits would send a dashboard to a
+        # metric that does not exist
+        async def scenario(service):
+            _, metrics = await call(service, "metrics")
+            snapshot = metrics["snapshot"]
+            return set(snapshot["gauges"]) | set(snapshot["histograms"])
+
+        exported = serve(scenario)
+        assert METRIC_CATALOG <= exported, METRIC_CATALOG - exported
 
 
 class TestLint:
