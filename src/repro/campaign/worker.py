@@ -2,10 +2,14 @@
 
 :func:`run_shard` is the unit the executor schedules, in-process or in a
 persistent worker process.  It is deliberately self-contained and
-deterministic: its result is a pure function of ``(spec, shard)``, so
-a shard produces the same record whether it runs first on one worker or
-last on eight, or in a resumed run — the property behind the engine's
-worker-count- and resume-independent verdict sets.
+deterministic: its verdicts, counts and reproducers are a pure function
+of ``(spec, shard)``, so a shard produces the same answers whether it
+runs first on one worker or last on eight, or in a resumed run — the
+property behind the engine's worker-count- and resume-independent
+verdict sets.  Two record fields are not: the wall time, and, with more
+than one worker, the stats delta's ``perf/num-memo-disk-entries-loaded``,
+which counts whatever other workers had appended to the shared memo
+when this shard refreshed it, so it depends on scheduling.
 
 The returned record is the JSONL checkpoint schema: shard id, status,
 verdict counts, newly discovered ``hash → verdict`` pairs, full

@@ -61,8 +61,6 @@ def _serve_parser() -> argparse.ArgumentParser:
                    help="concurrent in-process check threads")
     p.add_argument("--batch-max", type=int, default=16,
                    help="refine micro-batch size cap")
-    p.add_argument("--batch-linger", type=float, default=0.005,
-                   help="seconds a refine batch waits for company")
     p.add_argument("--request-timeout", type=_positive_float,
                    default=120.0,
                    help="default per-request deadline (seconds)")
@@ -78,7 +76,7 @@ def _serve_parser() -> argparse.ArgumentParser:
 async def _serve(args) -> int:
     config = ServiceConfig(
         workers=args.workers, high_water=args.high_water,
-        batch_max=args.batch_max, batch_linger=args.batch_linger,
+        batch_max=args.batch_max,
         request_timeout=args.request_timeout,
         shard_timeout=args.shard_timeout, memo_dir=args.memo_dir,
         check_threads=args.check_threads)

@@ -9,11 +9,13 @@ Two pieces of queueing discipline keep the server healthy under load:
   (SIGTERM) flips the gate: in-flight slots finish normally, new
   arrivals get ``draining``.
 * :class:`Batcher` — groups small homogeneous work items (refine
-  requests sharing one memo context) into campaign-style batches: the
-  first item opens a batch, up to ``linger`` seconds of queue time and
-  ``max_batch`` items join it, then the whole batch runs as one unit —
-  one thread hop, one warm plan cache, one memo flush — and every
-  item's waiter is resolved individually as its result lands.
+  requests sharing one memo context) into campaign-style batches
+  opportunistically: a lane takes its first item plus every item
+  already queued behind it, up to ``max_batch``, and runs them at once
+  as one unit — one thread hop, one memo refresh, one memo flush —
+  resolving every item's waiter individually.  Nothing waits for
+  company: items that arrive while a batch runs form the next batch,
+  so batches grow with load and a lone item never pays a timer.
 """
 
 from __future__ import annotations
@@ -106,16 +108,16 @@ class Batcher:
     ``run_batch(key, items)`` is an async callable executing one batch;
     it must resolve each item's future (``item[1]``) — anything left
     unresolved when it returns is failed with its exception, so a buggy
-    batch can never hang its waiters.
+    batch can never hang its waiters.  :meth:`aclose` fails every
+    queued and in-flight waiter with :class:`Draining`.
     """
 
     def __init__(self,
                  run_batch: Callable[[str, List[Tuple[Any, asyncio.Future]]],
                                      Awaitable[None]],
-                 max_batch: int = 16, linger: float = 0.005):
+                 max_batch: int = 16):
         self.run_batch = run_batch
         self.max_batch = max(1, max_batch)
-        self.linger = max(0.0, linger)
         self._lanes: Dict[str, asyncio.Queue] = {}
         self._tasks: Dict[str, asyncio.Task] = {}
         self._closed = False
@@ -135,44 +137,44 @@ class Batcher:
 
     async def _lane_loop(self, key: str) -> None:
         lane = self._lanes[key]
-        loop = asyncio.get_running_loop()
-        while not self._closed:
-            first = await lane.get()
-            batch = [first]
-            deadline = loop.time() + self.linger
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    if lane.empty():
-                        break
+        batch: List[Tuple[Any, asyncio.Future]] = []
+        try:
+            while not self._closed:
+                batch = [await lane.get()]
+                while len(batch) < self.max_batch and not lane.empty():
                     batch.append(lane.get_nowait())
-                    continue
+                NUM_BATCHES.inc()
                 try:
-                    batch.append(await asyncio.wait_for(lane.get(),
-                                                        remaining))
-                except asyncio.TimeoutError:
-                    break
-            NUM_BATCHES.inc()
-            try:
-                await self.run_batch(key, batch)
-            except Exception as e:  # noqa: BLE001 — resolve, never hang
-                for _, future in batch:
-                    if not future.done():
-                        future.set_exception(e)
-            else:
-                for _, future in batch:
-                    if not future.done():
-                        future.set_exception(
-                            RuntimeError("batch runner dropped an item"))
+                    await self.run_batch(key, batch)
+                except Exception as e:  # noqa: BLE001 — resolve, never hang
+                    _fail(batch, e)
+                else:
+                    _fail(batch, RuntimeError("batch runner dropped an item"))
+        finally:
+            # cancelled by aclose() mid-batch: the batch's waiters get
+            # the answer a closed submit() gives
+            _fail(batch, Draining("batcher closed before the item ran"))
 
     async def aclose(self) -> None:
+        """Stop every lane and fail each queued or in-flight waiter."""
         self._closed = True
-        for task in self._tasks.values():
+        tasks = list(self._tasks.values())
+        for task in tasks:
             task.cancel()
-        for task in self._tasks.values():
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
+        await asyncio.gather(*tasks, return_exceptions=True)
+        # a lane task cancelled before its first step never ran its
+        # cleanup, so the queues are emptied here
+        for lane in self._lanes.values():
+            while not lane.empty():
+                _fail([lane.get_nowait()],
+                      Draining("batcher closed before the item ran"))
         self._tasks.clear()
         self._lanes.clear()
+
+
+def _fail(batch: List[Tuple[Any, asyncio.Future]],
+          error: BaseException) -> None:
+    """Fail every still-pending waiter in ``batch`` with ``error``."""
+    for _, future in batch:
+        if not future.done():
+            future.set_exception(error)

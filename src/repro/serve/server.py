@@ -19,9 +19,10 @@ way a client connects.
 Graceful drain (SIGTERM/SIGINT): the admission gate flips to
 ``draining`` — every new request is rejected with a structured error
 (HTTP 503 / ``draining`` frame) while in-flight requests run to their
-terminal frame — then the listener closes.  A worker-process crash
-mid-request surfaces as an ``errored`` record or ``error`` frame; the
-connection stays healthy either way.
+terminal frame — then the listener closes.  Refines still queued or
+running when the drain times out are answered ``draining`` instead.  A
+worker-process crash mid-request surfaces as an ``errored`` record or
+``error`` frame; the connection stays healthy either way.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ _HTTP_STATUS = {
 
 _HTTP_VERBS = (b"GET ", b"POST ", b"HEAD ", b"PUT ", b"DELETE ",
                b"OPTIONS ", b"PATCH ")
+
+#: seconds a timed-out drain gives closed requests to send their
+#: terminal frames.
+_CLOSE_GRACE = 5.0
 
 #: readline() limit; oversized lines raise and fail the frame cleanly.
 _LINE_LIMIT = 16 * 1024 * 1024 + 1024
@@ -107,8 +112,13 @@ class ValidationServer:
         clean = await self.service.drain(timeout=drain_timeout)
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         await self.service.aclose()
+        if not clean:
+            # closing failed every refine the drain left queued or
+            # running with ``draining``; let those requests write it
+            await self.service.gate.wait_idle(_CLOSE_GRACE)
+        if self._server is not None:
+            await self._server.wait_closed()
         return clean
 
     # -- connection handling -----------------------------------------------

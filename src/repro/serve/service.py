@@ -132,9 +132,8 @@ class ServiceConfig:
     workers: int = 2
     #: admission high-water mark (requests in flight before 429).
     high_water: int = 64
-    #: refine micro-batcher: max items per batch / seconds of linger.
+    #: refine micro-batcher: max items per batch.
     batch_max: int = 16
-    batch_linger: float = 0.005
     #: default per-request deadline (seconds); a request payload may
     #: lower-or-raise it with ``"timeout"``.
     request_timeout: float = 120.0
@@ -154,8 +153,7 @@ class ValidationService:
         self.config = config or ServiceConfig()
         self.gate = RequestGate(high_water=self.config.high_water)
         self.batcher = Batcher(self._run_refine_batch,
-                               max_batch=self.config.batch_max,
-                               linger=self.config.batch_linger)
+                               max_batch=self.config.batch_max)
         self.pool = AsyncShardPool(workers=self.config.workers,
                                    shard_timeout=self.config.shard_timeout)
         self.started = time.monotonic()
@@ -271,6 +269,9 @@ class ValidationService:
         except ServiceError:
             NUM_ERRORS.inc()
             raise
+        except Draining as e:  # the batcher closed under the request
+            NUM_ERRORS.inc()
+            raise ServiceError("draining", str(e))
         except (ParseError, VerificationError) as e:
             NUM_ERRORS.inc()
             raise ServiceError("parse-error", str(e))

@@ -60,7 +60,7 @@ def _optimize(payload):
 
     async def scenario():
         service = ValidationService(ServiceConfig(
-            workers=1, check_threads=1, batch_linger=0.0))
+            workers=1, check_threads=1))
         try:
             async def emit(chunk):
                 pass

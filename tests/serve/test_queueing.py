@@ -178,14 +178,14 @@ class TestBatcher:
                 future.set_result(item * 10)
 
         async def scenario():
-            batcher = Batcher(run_batch, max_batch=8, linger=0.05)
+            batcher = Batcher(run_batch, max_batch=8)
             results = await asyncio.gather(
                 *(batcher.submit("lane", i) for i in range(5)))
             await batcher.aclose()
             return results
 
         assert run(scenario()) == [0, 10, 20, 30, 40]
-        # the linger window collects trailing items into few batches
+        # items queued before the lane runs ride one batch
         assert sum(n for _, n in batches) == 5
         assert len(batches) <= 2
 
@@ -198,7 +198,7 @@ class TestBatcher:
                 future.set_result(item)
 
         async def scenario():
-            batcher = Batcher(run_batch, max_batch=2, linger=0.05)
+            batcher = Batcher(run_batch, max_batch=2)
             await asyncio.gather(
                 *(batcher.submit("lane", i) for i in range(6)))
             await batcher.aclose()
@@ -216,7 +216,7 @@ class TestBatcher:
                 future.set_result(item)
 
         async def scenario():
-            batcher = Batcher(run_batch, max_batch=8, linger=0.02)
+            batcher = Batcher(run_batch, max_batch=8)
             await asyncio.gather(
                 batcher.submit("a", 1), batcher.submit("b", 2),
                 batcher.submit("a", 3))
@@ -230,7 +230,7 @@ class TestBatcher:
             raise RuntimeError("boom")
 
         async def scenario():
-            batcher = Batcher(run_batch, linger=0.0)
+            batcher = Batcher(run_batch)
             with pytest.raises(RuntimeError, match="boom"):
                 await batcher.submit("lane", 1)
             await batcher.aclose()
@@ -243,7 +243,7 @@ class TestBatcher:
             batch[0][1].set_result("ok")  # resolves only the first
 
         async def scenario():
-            batcher = Batcher(run_batch, max_batch=2, linger=0.2)
+            batcher = Batcher(run_batch, max_batch=2)
             first = asyncio.ensure_future(batcher.submit("lane", 1))
             second = asyncio.ensure_future(batcher.submit("lane", 2))
             results = await asyncio.gather(first, second,
@@ -269,3 +269,89 @@ class TestBatcher:
                 await batcher.submit("lane", 1)
 
         run(scenario())
+
+    def test_items_queued_during_a_batch_form_the_next_batch(self):
+        sizes = []
+
+        async def scenario():
+            entered = asyncio.Event()
+            release = asyncio.Event()
+
+            async def run_batch(key, batch):
+                sizes.append(len(batch))
+                entered.set()
+                await release.wait()
+                for item, future in batch:
+                    future.set_result(item)
+
+            batcher = Batcher(run_batch, max_batch=8)
+            first = asyncio.ensure_future(batcher.submit("lane", 0))
+            await entered.wait()  # the first batch is running, held
+            rest = [asyncio.ensure_future(batcher.submit("lane", i))
+                    for i in (1, 2, 3)]
+            await asyncio.sleep(0)  # the three enqueue behind it
+            release.set()
+            results = await asyncio.gather(first, *rest)
+            await batcher.aclose()
+            return results
+
+        assert run(scenario()) == [0, 1, 2, 3]
+        assert sizes == [1, 3]
+
+    def test_lone_item_runs_without_waiting_for_company(self):
+        async def scenario():
+            sizes = []
+
+            async def run_batch(key, batch):
+                sizes.append(len(batch))
+                for item, future in batch:
+                    future.set_result(item)
+
+            batcher = Batcher(run_batch)
+            task = asyncio.ensure_future(batcher.submit("lane", 7))
+            for _ in range(3):  # submit, then the lane loop, then slack
+                await asyncio.sleep(0)
+            assert sizes == [1]
+            assert await task == 7
+            await batcher.aclose()
+
+        run(scenario())
+
+    def test_aclose_fails_inflight_and_queued_waiters(self):
+        async def scenario():
+            entered = asyncio.Event()
+
+            async def run_batch(key, batch):
+                entered.set()
+                await asyncio.Event().wait()  # never finishes
+
+            batcher = Batcher(run_batch, max_batch=1)
+            inflight = asyncio.ensure_future(batcher.submit("lane", 1))
+            await entered.wait()
+            queued = asyncio.ensure_future(batcher.submit("lane", 2))
+            await asyncio.sleep(0)  # queued behind the held batch
+            # hang guards: a stranded waiter fails here, not by hanging
+            await asyncio.wait_for(batcher.aclose(), 10)
+            return await asyncio.wait_for(
+                asyncio.gather(inflight, queued, return_exceptions=True),
+                10)
+
+        inflight, queued = run(scenario())
+        assert isinstance(inflight, Draining)
+        assert isinstance(queued, Draining)
+
+    def test_aclose_fails_items_of_a_lane_that_never_ran(self):
+        async def run_batch(key, batch):
+            for item, future in batch:
+                future.set_result(item)
+
+        async def scenario():
+            batcher = Batcher(run_batch)
+            waiter = asyncio.ensure_future(batcher.submit("lane", 1))
+            await asyncio.sleep(0)  # queued; its lane loop not yet run
+            await batcher.aclose()  # called directly: no step in between
+            return await asyncio.wait_for(
+                asyncio.gather(waiter, return_exceptions=True), 10)
+
+        (result,) = run(scenario())
+        assert isinstance(result, Draining)

@@ -18,6 +18,7 @@ from repro.serve import (
     ServiceConfig,
     ValidationServer,
 )
+from repro.serve.queueing import NUM_BATCHED
 
 SRC = """define i4 @f(i4 %a, i4 %b) {
 entry:
@@ -371,3 +372,46 @@ class TestBackpressureAndDrain:
             assert inflight.get("checked") == 1
 
         asyncio.run(main())
+
+    def test_timed_out_drain_answers_running_and_queued_refines(
+            self, monkeypatch):
+        checking, release = hold_checks(monkeypatch)
+        answers = {}
+
+        def client(host, port, name):
+            try:
+                with ServeClient(host=host, port=port, timeout=120) as c:
+                    answers[name] = c.collect(
+                        "refine", {"functions": [SRC], **QUICK})[1]
+            except ServeError as e:
+                answers[name] = e.code
+
+        async def queued_up(submitted):
+            while NUM_BATCHED.value == submitted:
+                await asyncio.sleep(0.01)
+
+        clients = []
+
+        async def main():
+            # like `repro serve`: the loop ends as soon as shutdown does
+            server = ValidationServer(config=ServiceConfig(
+                workers=1, check_threads=1, batch_max=1))
+            host, port = await server.start()
+            try:
+                for name in ("running", "queued"):
+                    submitted = NUM_BATCHED.value
+                    clients.append(threading.Thread(
+                        target=client, args=(host, port, name)))
+                    clients[-1].start()
+                    await asyncio.wait_for(queued_up(submitted), 120)
+                assert await asyncio.to_thread(checking.wait, 120)
+                # the held check outlives the drain
+                return await server.shutdown(drain_timeout=0.1)
+            finally:
+                release.set()
+
+        clean = asyncio.run(main())
+        for thread in clients:
+            thread.join(120)
+        assert not clean
+        assert answers == {"running": "draining", "queued": "draining"}

@@ -14,6 +14,7 @@ import pytest
 from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign.worker import check_source
 from repro.diag.metrics_catalog import METRIC_CATALOG
+from repro.serve.queueing import NUM_BATCHES
 from repro.serve.service import (
     ServiceConfig,
     ServiceError,
@@ -47,7 +48,7 @@ def serve(coro_fn, config=None):
 
     async def scenario():
         service = ValidationService(config or ServiceConfig(
-            workers=1, check_threads=2, batch_linger=0.0))
+            workers=1, check_threads=2))
         try:
             return await coro_fn(service)
         finally:
@@ -216,6 +217,19 @@ class TestRefine:
 
         serve(scenario)
 
+    def test_multi_function_request_rides_one_batch(self):
+        variants = [SRC.replace("add", op).replace("@f", f"@f{i}")
+                    for i, op in enumerate(("add", "sub", "and", "or"))]
+
+        async def scenario(service):
+            before = NUM_BATCHES.value
+            _, done = await call(service, "refine",
+                                 {"functions": variants, **QUICK})
+            assert done["checked"] == 4
+            assert NUM_BATCHES.value - before == 1
+
+        serve(scenario)
+
     def test_pair_exhaustive(self):
         async def scenario(service):
             _, done = await call(service, "refine",
@@ -299,7 +313,6 @@ class TestCampaign:
 
     def test_campaign_warms_the_refine_memo(self, tmp_path):
         config = ServiceConfig(workers=1, check_threads=1,
-                               batch_linger=0.0,
                                memo_dir=str(tmp_path / "memo"))
 
         async def scenario(service):
@@ -316,7 +329,6 @@ class TestCampaign:
 
     def test_request_cannot_choose_where_the_server_writes(self, tmp_path):
         config = ServiceConfig(workers=1, check_threads=1,
-                               batch_linger=0.0,
                                memo_dir=str(tmp_path / "memo"))
         trace_dir = tmp_path / "caller-spans"
         cache_dir = tmp_path / "caller-memo"
@@ -353,8 +365,7 @@ class TestRequestDiscipline:
         serve(scenario)
 
     def test_queue_full(self):
-        config = ServiceConfig(workers=1, high_water=1,
-                               batch_linger=0.0)
+        config = ServiceConfig(workers=1, high_water=1)
 
         async def scenario(service):
             entered = asyncio.Event()
