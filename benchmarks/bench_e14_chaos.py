@@ -45,7 +45,6 @@ from repro.opt.resilience import ServiceChaos
 from repro.perf import fsck
 from repro.serve import (
     RetryingClient,
-    RetryPolicy,
     ServiceConfig,
     ValidationServer,
     reset_breakers,
@@ -57,7 +56,8 @@ CAMPAIGN_SPEC = dict(mode="random", count=48, num_instructions=1,
 
 REFINE_BUDGETS = dict(pipeline="quick", fuel=300, max_inputs=4000)
 
-RETRY = RetryPolicy(max_attempts=5, backoff_base=0.05, seed=1402)
+#: attempts per request of every retrying client (4 retries).
+RETRY_ATTEMPTS = 5
 
 
 class ServerThread:
@@ -115,7 +115,7 @@ def _run_workload(host, port, spec_dict, sources, failures):
     campaign = refine = None
     try:
         with RetryingClient(host=host, port=port, timeout=600,
-                            policy=RETRY) as client:
+                            attempts=RETRY_ATTEMPTS) as client:
             campaign = client.campaign(spec_dict)
             _, refine = client.collect(
                 "refine", {"functions": sources, **REFINE_BUDGETS})
@@ -177,7 +177,7 @@ def bench_storm(spec_dict, sources, memo_dir, kills: int) -> dict:
                                          sources, failures)
         attacker.join(timeout=120)
         with RetryingClient(host=host, port=port, timeout=60,
-                            policy=RETRY) as client:
+                            attempts=RETRY_ATTEMPTS) as client:
             results["ping"] = client.ping()
     finally:
         server.stop()
@@ -211,7 +211,7 @@ def bench_recovery(sources, memo_dir) -> dict:
     host, port = server.start()
     try:
         with RetryingClient(host=host, port=port, timeout=600,
-                            policy=RETRY) as client:
+                            attempts=RETRY_ATTEMPTS) as client:
             _, refine = client.collect(
                 "refine", {"functions": sources, **REFINE_BUDGETS})
     except Exception as e:  # noqa: BLE001

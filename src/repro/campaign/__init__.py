@@ -42,13 +42,11 @@ from .reduce import (
 )
 from .report import (
     CampaignSummary,
-    aggregate_records,
     book_records,
-    render_report,
 )
 from .sharding import Shard, iter_shard_functions, plan_shards, shard_stream_seed
 from .spec import CampaignSpec
-from .supervisor import SupervisorPolicy, WorkerSupervisor
+from .supervisor import WorkerSupervisor
 from .worker import run_shard
 
 __all__ = [
@@ -56,14 +54,14 @@ __all__ = [
     "CampaignRunner", "CampaignSpec", "CampaignSummary", "CheckpointStore",
     "Corpus",
     "DedupCache", "ReductionResult", "Shard", "ShardExecutor",
-    "SupervisorPolicy", "WorkerSupervisor", "account_records",
-    "aggregate_records", "book_records", "merge_worker_stats",
+    "WorkerSupervisor", "account_records",
+    "book_records", "merge_worker_stats",
     "campaign_main", "canonical_hash", "canonical_text",
     "iter_shard_functions", "load_manifest",
     "load_manifest_payload", "load_spec", "load_summary",
     "make_failure_oracle",
     "manifest_kind", "plan_attack_shards", "plan_shards",
-    "reduce_counterexamples", "reduce_failure", "render_report",
+    "reduce_counterexamples", "reduce_failure",
     "run_attack_shard", "run_campaign", "run_shard",
     "save_manifest", "shard_stream_seed",
 ]

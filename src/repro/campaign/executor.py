@@ -10,9 +10,11 @@ table of what differs between them):
   long-lived child processes (fork where available), each forked once
   and fed shard after shard over its pipe, with optional per-shard wall
   timeouts.  A worker that dies without reporting (segfault analog,
-  ``os._exit``, OOM-kill) is *accounted*, not lost: the shard's record
-  says ``errored`` with the exit code, the campaign completes, and a
-  later ``resume`` retries exactly the errored/missing shards.
+  ``os._exit``, OOM-kill) is restarted by the
+  :class:`~repro.campaign.supervisor.WorkerSupervisor`; past its
+  restart budget the shard is *accounted*, not lost: its record says
+  ``errored`` (quarantined) with the exit code, the campaign completes,
+  and a later ``resume`` retries exactly the errored/missing shards.
 
 Every completed shard is appended to the JSONL checkpoint immediately,
 so killing the coordinator forfeits at most the shards in flight.
@@ -55,7 +57,7 @@ from .report import (  # noqa: F401  (counters stay importable here)
 )
 from .sharding import Shard, plan_shards
 from .spec import CampaignSpec
-from .supervisor import SupervisorPolicy, WorkerSupervisor
+from .supervisor import WorkerSupervisor
 from .worker import memo_scope, run_shard
 
 #: subdirectory of a campaign's out_dir holding crash bundles.
@@ -276,14 +278,11 @@ class ShardExecutor:
     attempt history (the poison-pill lane).  Either way a job always
     terminates in exactly one record — never lost, never hung — and
     each subprocess record's stats delta is merged into this process's
-    registry.  ``supervisor=None`` disables retries (one attempt per
-    job, the pre-supervision behavior).  :meth:`shutdown` reaps every
-    worker, idle or busy.
+    registry.  :meth:`shutdown` reaps every worker, idle or busy.
     """
 
     def __init__(self, workers: int = 1,
                  shard_timeout: Optional[float] = None,
-                 supervisor: Optional[WorkerSupervisor] = "default",
                  work: str = "refine"):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -291,9 +290,7 @@ class ShardExecutor:
         self.shard_timeout = shard_timeout
         #: work kind run by child processes (see :func:`_resolve_work`).
         self.work = work
-        if supervisor == "default":
-            supervisor = WorkerSupervisor(SupervisorPolicy())
-        self.supervisor = supervisor
+        self.supervisor = WorkerSupervisor()
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
@@ -337,8 +334,7 @@ class ShardExecutor:
         self._next_job += 1
         entry = (job_id, spec.as_dict(), shard, 0.0, deadline)
         self._queue.append(entry)
-        if self.supervisor is not None:
-            self._job_inputs[job_id] = entry
+        self._job_inputs[job_id] = entry
         self._start_pending()
         return job_id
 
@@ -462,16 +458,14 @@ class ShardExecutor:
                                               deadline, retryable)
                 if record is None:
                     continue  # supervisor re-enqueued the job
-            if self.supervisor is not None:
-                # A healed job's record remembers its restarts (absent
-                # on clean runs, so fault-free records stay identical).
-                # history.attempts counts failures, and for a job that
-                # ultimately reported, every failure became a restart.
-                history = self.supervisor.history_for(job_id)
-                if (record is not None and history is not None
-                        and history.attempts > 0):
-                    record.setdefault("restarts", history.attempts)
-                self.supervisor.forget(job_id)
+            # A healed job's record remembers its restarts (absent on
+            # clean runs, so fault-free records stay identical).
+            # history.attempts counts failures, and for a job that
+            # ultimately reported, every failure became a restart.
+            history = self.supervisor.history_for(job_id)
+            if history is not None and history.attempts > 0:
+                record.setdefault("restarts", history.attempts)
+            self.supervisor.forget(job_id)
             self._job_inputs.pop(job_id, None)
             merge_worker_stats(record)
             done.append((job_id, shard, record))
@@ -511,13 +505,11 @@ class ShardExecutor:
                         deadline: Optional[float],
                         retryable: bool = True) -> Optional[dict]:
         """Supervisor hook: returns the final record, or None on retry."""
-        if self.supervisor is None:
-            return _errored_record(shard, reason)
         decision = self.supervisor.on_failure(job_id, shard, reason,
                                               deadline=deadline,
                                               retryable=retryable)
-        entry = self._job_inputs.get(job_id)
-        if decision.action == "restart" and entry is not None:
+        if decision.action == "restart":
+            entry = self._job_inputs[job_id]
             # Re-enqueue under the same job id: callers' futures stay
             # pending across the restart, and a successful retry's
             # record is byte-identical (run_shard is a pure function of
@@ -572,8 +564,7 @@ class CampaignRunner:
     """
 
     def __init__(self, spec: CampaignSpec, out_dir: Optional[str] = None,
-                 workers: int = 1, shard_timeout: Optional[float] = None,
-                 supervisor_policy: Optional[SupervisorPolicy] = None):
+                 workers: int = 1, shard_timeout: Optional[float] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         memo_dir = _resolve_work(spec.kind).memo_dir
@@ -587,9 +578,6 @@ class CampaignRunner:
         self.out_dir = out_dir
         self.workers = workers
         self.shard_timeout = shard_timeout
-        #: restart/quarantine policy for subprocess shards; None = the
-        #: supervisor defaults.
-        self.supervisor_policy = supervisor_policy
         self.store = CheckpointStore(out_dir) if out_dir else None
 
     # -- public API --------------------------------------------------------
@@ -682,7 +670,6 @@ class CampaignRunner:
                         finalize) -> None:
         executor = ShardExecutor(
             workers=self.workers, shard_timeout=self.shard_timeout,
-            supervisor=WorkerSupervisor(self.supervisor_policy),
             work=kind.name)
         try:
             for shard in pending:

@@ -21,7 +21,6 @@ from typing import Any, ClassVar, Dict, List, Optional
 
 from ..diag import PassStats, PassTiming, Statistic, StatsRegistry
 from .sharding import plan_shards
-from .spec import CampaignSpec
 
 NUM_CHECKED = Statistic(
     "campaign", "num-functions-checked",
@@ -343,13 +342,3 @@ class CampaignSummary(ShardSummary):
         lines.append(registry.format_text())
         return "\n".join(lines)
 
-
-def aggregate_records(spec: CampaignSpec,
-                      records: Dict[int, dict]) -> dict:
-    """``campaign report --json`` for a checkpoint's shard records."""
-    return CampaignSummary.from_records(spec, records).report_dict()
-
-
-def render_report(spec: CampaignSpec, records: Dict[int, dict]) -> str:
-    """``campaign report`` text for a checkpoint's shard records."""
-    return CampaignSummary.from_records(spec, records).render_report()

@@ -28,9 +28,11 @@ Two failure classes never consume restart budget:
   timeout machinery owns the error);
 * failures while the executor is **shutting down**.
 
+The ladder's limits are the module constants :data:`MAX_RESTARTS`,
+:data:`RESTART_BUDGET`, :data:`BACKOFF_BASE` and :data:`BACKOFF_CAP`.
 Determinism: backoff jitter is drawn from a :class:`random.Random`
-seeded at construction, so tests (and the E14 chaos bench) replay the
-same schedule.  Verdict parity is unaffected by construction — a
+seeded with 0 at construction, so tests (and the E14 chaos bench)
+replay the same schedule.  Verdict parity is unaffected by construction — a
 restarted shard re-runs :func:`~repro.campaign.worker.run_shard`, whose
 record is a pure function of ``(spec, shard)``.
 """
@@ -55,29 +57,26 @@ NUM_BUDGET_EXHAUSTED = Statistic(
     "Failures delivered because the global restart budget ran dry")
 
 
-@dataclass
-class SupervisorPolicy:
-    """Tunables of one supervisor instance."""
+#: restarts allowed per job before it is quarantined.
+MAX_RESTARTS = 2
+#: restarts allowed across all jobs of one supervisor's lifetime.  A
+#: crash storm that blows through this is an environment problem, not
+#: an input problem — stop masking it.
+RESTART_BUDGET = 256
+#: backoff before restart attempt k (see :func:`jittered_backoff`).
+BACKOFF_BASE = 0.1
+BACKOFF_CAP = 5.0
+#: fractional jitter applied to every backoff delay (±50%).
+JITTER = 0.5
 
-    #: restarts allowed per job before it is quarantined.
-    max_restarts: int = 2
-    #: retry shard-timeout failures too?  Off by default: a shard's
-    #: wall-timeout re-runs the same pure function against the same
-    #: budget, so the retry deterministically times out again — it goes
-    #: straight to the poison-pill lane instead.  Crashes stay
-    #: retryable (they are often environmental).
-    retry_timeouts: bool = False
-    #: restarts allowed across all jobs of this executor's lifetime;
-    #: None = unbounded.  A crash storm that blows through this is an
-    #: environment problem, not an input problem — stop masking it.
-    restart_budget: Optional[int] = 256
-    #: backoff delay before restart attempt k is ``base * 2**(k-1)``,
-    #: clamped to ``cap``, then jittered by ±``jitter`` (fractional).
-    backoff_base: float = 0.1
-    backoff_cap: float = 5.0
-    jitter: float = 0.5
-    #: jitter RNG seed (deterministic schedules for tests/benches).
-    seed: int = 0
+
+def jittered_backoff(attempt: int, base: float, cap: float,
+                     rng: random.Random) -> float:
+    """Delay before retry ``attempt`` (1-based): ``base * 2**(k-1)``,
+    clamped to ``cap``, then jittered by ±:data:`JITTER` from ``rng``."""
+    delay = min(cap, base * (2 ** (attempt - 1)))
+    spread = delay * JITTER
+    return max(0.0, delay + rng.uniform(-spread, spread))
 
 
 @dataclass
@@ -104,9 +103,8 @@ class Decision:
 class WorkerSupervisor:
     """Restart/quarantine policy plus per-job failure state."""
 
-    def __init__(self, policy: Optional[SupervisorPolicy] = None):
-        self.policy = policy or SupervisorPolicy()
-        self._rng = random.Random(self.policy.seed)
+    def __init__(self):
+        self._rng = random.Random(0)
         self._history: Dict[int, JobHistory] = {}
         #: poison-pill lane: quarantined jobs, for reporting.
         self.poison_pills: List[dict] = []
@@ -123,7 +121,9 @@ class WorkerSupervisor:
         an expired deadline always fails immediately — the time budget
         belongs to the request, not to the supervisor.
         ``retryable=False`` (deterministic failures, e.g. a shard wall
-        timeout) skips the restart ladder and quarantines outright.
+        timeout: re-running the same pure shard against the same wall
+        budget times out again) skips the restart ladder and
+        quarantines outright.
         """
         history = self._history.setdefault(job_id, JobHistory())
         history.attempts += 1
@@ -131,18 +131,17 @@ class WorkerSupervisor:
 
         if deadline is not None and time.monotonic() >= deadline:
             return Decision("fail", reason=reason)
-        if ((not retryable and not self.policy.retry_timeouts)
-                or history.attempts > self.policy.max_restarts):
+        if not retryable or history.attempts > MAX_RESTARTS:
             return self._quarantine(job_id, shard, history, reason)
-        if (self.policy.restart_budget is not None
-                and self.restarts >= self.policy.restart_budget):
+        if self.restarts >= RESTART_BUDGET:
             NUM_BUDGET_EXHAUSTED.inc()
             return Decision(
                 "fail",
                 reason=f"{reason} (global restart budget "
-                       f"{self.policy.restart_budget} exhausted)")
+                       f"{RESTART_BUDGET} exhausted)")
 
-        delay = self._backoff(history.attempts)
+        delay = jittered_backoff(history.attempts, BACKOFF_BASE,
+                                 BACKOFF_CAP, self._rng)
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= delay:
@@ -167,12 +166,6 @@ class WorkerSupervisor:
             "quarantine",
             reason=f"quarantined after {history.attempts} failed "
                    f"attempts; last: {reason}")
-
-    def _backoff(self, attempt: int) -> float:
-        base = min(self.policy.backoff_cap,
-                   self.policy.backoff_base * (2 ** (attempt - 1)))
-        spread = base * self.policy.jitter
-        return max(0.0, base + self._rng.uniform(-spread, spread))
 
     # -- bookkeeping --------------------------------------------------------
     def history_for(self, job_id: int) -> Optional[JobHistory]:

@@ -26,7 +26,7 @@ machinery into a persistent service:
 """
 
 from .client import ServeClient, ServeError
-from .deadline import Deadline, validate_timeout
+from .deadline import validate_timeout
 from .pool import AsyncShardPool
 from .protocol import (
     OPS,
@@ -43,7 +43,6 @@ from .queueing import Batcher, Draining, QueueFull, RequestGate
 from .retry import (
     CircuitBreaker,
     RetryingClient,
-    RetryPolicy,
     breaker_for,
     reset_breakers,
 )
@@ -52,9 +51,9 @@ from .service import ServiceConfig, ValidationService
 from .cli import client_main, serve_main
 
 __all__ = [
-    "AsyncShardPool", "Batcher", "CircuitBreaker", "Deadline",
+    "AsyncShardPool", "Batcher", "CircuitBreaker",
     "Draining", "OPS", "ProtocolError",
-    "QueueFull", "RequestGate", "RetryPolicy", "RetryingClient",
+    "QueueFull", "RequestGate", "RetryingClient",
     "ServeClient", "ServeError",
     "ServiceConfig", "ValidationServer", "ValidationService",
     "breaker_for", "chunk_frame", "client_main", "decode_frame",

@@ -59,8 +59,6 @@ def _serve_parser() -> argparse.ArgumentParser:
                    help="in-flight requests before 429/queue-full")
     p.add_argument("--check-threads", type=int, default=2,
                    help="concurrent in-process check threads")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="refine micro-batch size cap")
     p.add_argument("--request-timeout", type=_positive_float,
                    default=120.0,
                    help="default per-request deadline (seconds)")
@@ -76,7 +74,6 @@ def _serve_parser() -> argparse.ArgumentParser:
 async def _serve(args) -> int:
     config = ServiceConfig(
         workers=args.workers, high_water=args.high_water,
-        batch_max=args.batch_max,
         request_timeout=args.request_timeout,
         shard_timeout=args.shard_timeout, memo_dir=args.memo_dir,
         check_threads=args.check_threads)
@@ -196,11 +193,11 @@ def client_main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.retries > 0:
-        from .retry import RetryingClient, RetryPolicy
+        from .retry import RetryingClient
 
         client = RetryingClient(
             host=args.host, port=args.port, timeout=args.timeout,
-            policy=RetryPolicy(max_attempts=args.retries + 1))
+            attempts=args.retries + 1)
     else:
         client = ServeClient(host=args.host, port=args.port,
                              timeout=args.timeout)

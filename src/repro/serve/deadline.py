@@ -10,10 +10,11 @@ piece of work outlives the request that asked for it** — a hung SMT
 query cannot pin a worker after its client has already been answered
 with a ``timeout`` error.
 
-Representation: an absolute :func:`time.monotonic` instant.  Absolute
-instants compose across layers (each hop subtracts nothing, forwards
-the same number) where relative timeouts would silently re-grant the
-full budget at every hop.
+Representation: an absolute :func:`time.monotonic` instant, a plain
+float (``None`` = no deadline).  Absolute instants compose across
+layers (each hop subtracts nothing, forwards the same number) where
+relative timeouts would silently re-grant the full budget at every
+hop.
 
 Deadline-aborted verdicts are a property of *this request's* budget,
 not of the checked function — they must never enter the memo store
@@ -23,8 +24,6 @@ not of the checked function — they must never enter the memo store
 from __future__ import annotations
 
 import math
-import time
-from typing import Optional
 
 
 def validate_timeout(value, name: str = "timeout") -> float:
@@ -45,30 +44,3 @@ def validate_timeout(value, name: str = "timeout") -> float:
             f"{name} must be positive, got {value!r}")
     return seconds
 
-
-class Deadline:
-    """An absolute monotonic instant by which work must finish."""
-
-    __slots__ = ("at",)
-
-    def __init__(self, at: float):
-        self.at = at
-
-    @classmethod
-    def after(cls, seconds: float) -> "Deadline":
-        return cls(time.monotonic() + seconds)
-
-    def remaining(self) -> float:
-        return self.at - time.monotonic()
-
-    @property
-    def expired(self) -> bool:
-        return time.monotonic() >= self.at
-
-    def __repr__(self) -> str:
-        return f"Deadline(in {self.remaining():.3f}s)"
-
-
-def deadline_at(deadline: Optional["Deadline"]) -> Optional[float]:
-    """The absolute instant of a maybe-None deadline (for plumbing)."""
-    return None if deadline is None else deadline.at

@@ -27,7 +27,7 @@ from typing import Dict, Optional
 from ..campaign.executor import ShardExecutor
 from ..campaign.sharding import Shard
 from ..campaign.spec import CampaignSpec
-from ..campaign.supervisor import SupervisorPolicy, WorkerSupervisor
+from ..campaign.supervisor import WorkerSupervisor
 from ..diag import Statistic
 
 NUM_POLLER_LEAKS = Statistic(
@@ -36,6 +36,9 @@ NUM_POLLER_LEAKS = Statistic(
     "timeout at close()")
 
 logger = logging.getLogger("repro.serve.pool")
+
+#: seconds the poller thread waits on busy workers per executor poll.
+POLL_INTERVAL = 0.02
 
 #: close() join budget: first a polite join, then an escalated one.
 _JOIN_TIMEOUT = 2.0
@@ -46,13 +49,9 @@ class AsyncShardPool:
     """Futures over a shared :class:`ShardExecutor`."""
 
     def __init__(self, workers: int = 2,
-                 shard_timeout: Optional[float] = None,
-                 poll_interval: float = 0.02,
-                 supervisor_policy: Optional[SupervisorPolicy] = None):
-        self.executor = ShardExecutor(
-            workers=workers, shard_timeout=shard_timeout,
-            supervisor=WorkerSupervisor(supervisor_policy))
-        self.poll_interval = poll_interval
+                 shard_timeout: Optional[float] = None):
+        self.executor = ShardExecutor(workers=workers,
+                                      shard_timeout=shard_timeout)
         self._pending: Dict[int, tuple] = {}  # job_id -> (loop, future)
         self._lock = threading.Lock()
         self._wake = threading.Event()
@@ -138,7 +137,7 @@ class AsyncShardPool:
                 self._wake.clear()
                 continue
             with self._lock:
-                done = self.executor.poll(self.poll_interval)
+                done = self.executor.poll(POLL_INTERVAL)
             for job_id, _shard, record in done:
                 with self._lock:
                     entry = self._pending.pop(job_id, None)

@@ -11,7 +11,7 @@ Two pieces of queueing discipline keep the server healthy under load:
 * :class:`Batcher` — groups small homogeneous work items (refine
   requests sharing one memo context) into campaign-style batches
   opportunistically: a lane takes its first item plus every item
-  already queued behind it, up to ``max_batch``, and runs them at once
+  already queued behind it, up to :data:`MAX_BATCH`, and runs them at once
   as one unit — one thread hop, one memo refresh, one memo flush —
   resolving every item's waiter individually.  Nothing waits for
   company: items that arrive while a batch runs form the next batch,
@@ -34,6 +34,10 @@ NUM_BATCHES = Statistic(
 NUM_BATCHED = Statistic(
     "serve", "num-batched-functions",
     "Work items that travelled through the refine micro-batcher")
+
+
+#: most items one refine micro-batch carries.
+MAX_BATCH = 16
 
 
 class QueueFull(Exception):
@@ -114,10 +118,8 @@ class Batcher:
 
     def __init__(self,
                  run_batch: Callable[[str, List[Tuple[Any, asyncio.Future]]],
-                                     Awaitable[None]],
-                 max_batch: int = 16):
+                                     Awaitable[None]]):
         self.run_batch = run_batch
-        self.max_batch = max(1, max_batch)
         self._lanes: Dict[str, asyncio.Queue] = {}
         self._tasks: Dict[str, asyncio.Task] = {}
         self._closed = False
@@ -141,7 +143,7 @@ class Batcher:
         try:
             while not self._closed:
                 batch = [await lane.get()]
-                while len(batch) < self.max_batch and not lane.empty():
+                while len(batch) < MAX_BATCH and not lane.empty():
                     batch.append(lane.get_nowait())
                 NUM_BATCHES.inc()
                 try:

@@ -19,11 +19,11 @@ with the three standard client-side containment tools:
   from its replay cache instead of re-running the work.  This is safe
   precisely because verdicts are deterministic: replaying a response is
   indistinguishable from recomputing it.
-* **a per-server circuit breaker** — after ``failure_threshold`` (5)
-  consecutive transport-level failures the breaker *opens* and requests
-  shed immediately as ``queue-full`` (the backpressure code clients
-  already handle) without touching the socket.  After
-  ``reset_timeout`` (10) seconds one trial request is allowed through
+* **a per-server circuit breaker** — after :data:`FAILURE_THRESHOLD`
+  (5) consecutive transport-level failures the breaker *opens* and
+  requests shed immediately as ``queue-full`` (the backpressure code
+  clients already handle) without touching the socket.  After
+  :data:`RESET_TIMEOUT` (10) seconds one trial request is allowed through
   (*half-open*); success closes the breaker, failure re-opens it.
   Breakers are shared per ``(host, port)`` across every
   :class:`RetryingClient` in the process, so one hammering loop cannot
@@ -37,9 +37,9 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
+from ..campaign.supervisor import jittered_backoff
 from ..diag import Statistic
 from .client import ClientOps, ServeClient, ServeError
 
@@ -64,34 +64,25 @@ def make_idempotency_key() -> str:
     return f"{os.getpid():x}-{time.monotonic_ns():x}-{next(_key_counter)}"
 
 
-@dataclass
-class RetryPolicy:
-    """Tunables of one retrying client."""
-
-    #: total attempts per request (1 = no retries).
-    max_attempts: int = 4
-    #: backoff before attempt k+1 is ``base * 2**(k-1)``, capped, then
-    #: jittered by ±``jitter`` (fractional).
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    jitter: float = 0.5
-    #: jitter RNG seed (deterministic schedules for tests/benches).
-    seed: int = 0
+#: backoff before retry k is ``BACKOFF_BASE * 2**(k-1)`` seconds,
+#: capped at ``BACKOFF_CAP``, then jittered (see :func:`jittered_backoff`).
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: consecutive transport failures that open a circuit breaker.
+FAILURE_THRESHOLD = 5
+#: seconds an open breaker waits before admitting a half-open trial.
+RESET_TIMEOUT = 10.0
 
 
 class CircuitBreaker:
     """Shed requests to a server that keeps failing.
 
-    closed → (``failure_threshold`` consecutive failures) → open →
-    (``reset_timeout`` elapses on ``clock``) → half-open → success
+    closed → (:data:`FAILURE_THRESHOLD` consecutive failures) → open →
+    (:data:`RESET_TIMEOUT` elapses on ``clock``) → half-open → success
     closes / failure re-opens.
     """
 
-    def __init__(self, failure_threshold: int = 5,
-                 reset_timeout: float = 10.0,
-                 clock: Callable[[], float] = time.monotonic):
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
+    def __init__(self, clock: Callable[[], float] = time.monotonic):
         self.clock = clock
         self._lock = threading.Lock()
         self._failures = 0
@@ -107,8 +98,7 @@ class CircuitBreaker:
 
     def _state_locked(self) -> str:
         if (self._state == "open"
-                and self.clock() - self._opened_at
-                >= self.reset_timeout):
+                and self.clock() - self._opened_at >= RESET_TIMEOUT):
             self._state = "half-open"
         return self._state
 
@@ -132,7 +122,7 @@ class CircuitBreaker:
             was = self._state_locked()
             if was == "half-open" or (
                     was == "closed"
-                    and self._failures >= self.failure_threshold):
+                    and self._failures >= FAILURE_THRESHOLD):
                 self._state = "open"
                 self._opened_at = self.clock()
                 self.opens += 1
@@ -175,16 +165,16 @@ class RetryingClient(ClientOps):
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8371,
-                 timeout: Optional[float] = 300.0,
-                 policy: Optional[RetryPolicy] = None,
+                 timeout: Optional[float] = 300.0, attempts: int = 4,
                  breaker: Optional[CircuitBreaker] = None):
         self.host = host
         self.port = port
-        self.policy = policy or RetryPolicy()
+        #: total attempts per request (1 = no retries).
+        self.attempts = attempts
         self.breaker = (breaker if breaker is not None
                         else breaker_for(host, port))
         self._client = ServeClient(host, port, timeout=timeout)
-        self._rng = random.Random(self.policy.seed)
+        self._rng = random.Random(0)
         self.retries = 0
 
     def close(self) -> None:
@@ -197,7 +187,7 @@ class RetryingClient(ClientOps):
         payload = dict(payload or {})
         payload.setdefault("idempotency_key", make_idempotency_key())
         last: Optional[ServeError] = None
-        for attempt in range(1, self.policy.max_attempts + 1):
+        for attempt in range(1, self.attempts + 1):
             if not self.breaker.allow():
                 raise ServeError(
                     "queue-full",
@@ -214,21 +204,16 @@ class RetryingClient(ClientOps):
                     # transport-level: the server may be down
                     self.breaker.record_failure()
                 if (e.code not in RETRYABLE_CODES
-                        or attempt >= self.policy.max_attempts):
+                        or attempt >= self.attempts):
                     raise
                 self.retries += 1
                 NUM_RETRIES.inc()
                 # A dropped connection leaves the socket unusable;
                 # start the next attempt on a fresh one.
                 self._client.close()
-                time.sleep(self._backoff(attempt))
+                time.sleep(jittered_backoff(attempt, BACKOFF_BASE,
+                                            BACKOFF_CAP, self._rng))
                 continue
             self.breaker.record_success()
             return result
         raise last  # pragma: no cover — loop always returns or raises
-
-    def _backoff(self, attempt: int) -> float:
-        base = min(self.policy.backoff_cap,
-                   self.policy.backoff_base * (2 ** (attempt - 1)))
-        spread = base * self.policy.jitter
-        return max(0.0, base + self._rng.uniform(-spread, spread))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..diag import Statistic
 from .protocol import (
@@ -78,6 +78,8 @@ class ValidationServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._draining = asyncio.Event()
+        #: writers of the connections being served, closed at shutdown.
+        self._writers: Set[asyncio.StreamWriter] = set()
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
@@ -117,6 +119,10 @@ class ValidationServer:
             # closing failed every refine the drain left queued or
             # running with ``draining``; let those requests write it
             await self.service.gate.wait_idle(_CLOSE_GRACE)
+        # An idle client would keep its handler in readline() forever,
+        # and since Python 3.12 wait_closed() waits for every handler.
+        for writer in list(self._writers):
+            writer.close()
         if self._server is not None:
             await self._server.wait_closed()
         return clean
@@ -125,6 +131,7 @@ class ValidationServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         NUM_CONNECTIONS.inc()
+        self._writers.add(writer)
         try:
             first = await reader.readline()
             if not first:
@@ -137,6 +144,7 @@ class ValidationServer:
                 asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             pass
         finally:
+            self._writers.discard(writer)
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -69,7 +69,7 @@ from ..lint.diagnostics import severity_rank
 from ..perf import RefinementMemo
 from ..refine import CheckOptions, check_refinement
 from ..refine.symbolic import check_refinement_symbolic
-from .deadline import Deadline, deadline_at, validate_timeout
+from .deadline import validate_timeout
 from .pool import AsyncShardPool
 from .queueing import Batcher, Draining, QueueFull, RequestGate
 
@@ -132,8 +132,6 @@ class ServiceConfig:
     workers: int = 2
     #: admission high-water mark (requests in flight before 429).
     high_water: int = 64
-    #: refine micro-batcher: max items per batch.
-    batch_max: int = 16
     #: default per-request deadline (seconds); a request payload may
     #: lower-or-raise it with ``"timeout"``.
     request_timeout: float = 120.0
@@ -152,8 +150,7 @@ class ValidationService:
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
         self.gate = RequestGate(high_water=self.config.high_water)
-        self.batcher = Batcher(self._run_refine_batch,
-                               max_batch=self.config.batch_max)
+        self.batcher = Batcher(self._run_refine_batch)
         self.pool = AsyncShardPool(workers=self.config.workers,
                                    shard_timeout=self.config.shard_timeout)
         self.started = time.monotonic()
@@ -243,8 +240,9 @@ class ValidationService:
             raise ServiceError("queue-full", str(e))
         NUM_REQUESTS.inc()
         # The request's entire time budget, fixed here and inherited by
-        # every layer below (shard pool, checker fuel, solver loops).
-        deadline = Deadline.after(timeout)
+        # every layer below (shard pool, checker fuel, solver loops):
+        # an absolute time.monotonic() instant.
+        deadline = time.monotonic() + timeout
         started = time.perf_counter()
         self._inflight_gauge.inc(1)
         try:
@@ -485,7 +483,8 @@ class ValidationService:
                 memo.refresh()
             outcomes = []
             for (item_spec, source, item_deadline), _future in batch:
-                if item_deadline is not None and item_deadline.expired:
+                if (item_deadline is not None
+                        and time.monotonic() >= item_deadline):
                     # The request is already being answered with a
                     # timeout error; don't burn a check slot on it.
                     outcomes.append(ServiceError(
@@ -493,7 +492,7 @@ class ValidationService:
                                    "its refine batch ran"))
                     continue
                 options = item_spec.check_options()
-                options.deadline = deadline_at(item_deadline)
+                options.deadline = item_deadline
                 try:
                     outcomes.append(check_source(
                         item_spec, source, memo=memo,
@@ -534,10 +533,10 @@ class ValidationService:
             tgt = parse_function(tgt_text)
             if method == "symbolic":
                 result = check_refinement_symbolic(
-                    src, tgt, deadline=deadline_at(deadline))
+                    src, tgt, deadline=deadline)
             else:
                 options = spec.check_options()
-                options.deadline = deadline_at(deadline)
+                options.deadline = deadline
                 result = check_refinement(src, tgt, spec.semantics(),
                                           options=options)
             out = {
@@ -566,8 +565,7 @@ class ValidationService:
         shards = plan_shards(spec)
         if not shards:
             raise ServiceError("bad-request", "campaign covers no corpus")
-        futures = [self.pool.submit(spec, shard,
-                                    deadline=deadline_at(deadline))
+        futures = [self.pool.submit(spec, shard, deadline=deadline)
                    for shard in shards]
         records: Dict[int, dict] = {}
         try:

@@ -25,7 +25,7 @@ from repro.campaign import (
 from repro.campaign import executor as executor_module
 from repro.campaign import worker as worker_module
 from repro.campaign.sharding import Shard, plan_shards
-from repro.campaign.supervisor import SupervisorPolicy, WorkerSupervisor
+from repro.campaign import supervisor
 from repro.campaign.worker import CRASH_ENV, HANG_ENV
 from repro.diag import stats_snapshot
 from repro.opt.resilience import ServiceChaos
@@ -192,22 +192,27 @@ class TestPersistentWorkers:
     def test_survivor_keeps_serving_after_neighbour_crashes(
             self, monkeypatch, pid_stamped):
         monkeypatch.setenv(CRASH_ENV, "0")
-        executor = ShardExecutor(workers=2, supervisor=None)
+        # A restart retires an idle worker to fork a fresh one, which
+        # would retire the survivor this test watches: quarantine the
+        # crash at once instead.
+        monkeypatch.setattr(supervisor, "MAX_RESTARTS", 0)
+        executor = ShardExecutor(workers=2)
         shards = plan_shards(SPEC)
         try:
             executor.submit(SPEC, shards[0])
             executor.submit(SPEC, shards[1])
-            records = drain_records(executor)
+            records = wait_for(lambda: executor.idle, executor)
             before = _workers_started()
             # the idle survivor takes the next job; the crashed
             # worker's slot is refilled by a new fork
             executor.submit(SPEC, shards[2])
             executor.submit(SPEC, Shard(3, shards[0].start,
                                         shards[0].stop))
-            records.update(drain_records(executor))
+            records.update(wait_for(lambda: executor.idle, executor))
         finally:
             executor.shutdown(kill=True)
         assert records[0]["status"] == "errored"
+        assert records[0]["quarantined"]
         assert records[2]["pid"] == records[1]["pid"]
         assert records[3]["pid"] != records[1]["pid"]
         assert _workers_started() - before == 1
@@ -235,19 +240,21 @@ class TestPersistentWorkers:
         monkeypatch.setenv(HANG_ENV, "0")
         shards = plan_shards(SPEC)
         executor = ShardExecutor(
-            workers=1, supervisor=None,
-            shard_timeout=0.2 if kind == "timeout" else None)
+            workers=1, shard_timeout=0.2 if kind == "timeout" else None)
         deadline = time.monotonic() + 0.2 if kind == "deadline" else None
         try:
             executor.submit(SPEC, shards[0], deadline=deadline)
             (entry,) = executor._running.values()
             hung = entry[0]
-            records = drain_records(executor)
+            # neither overrun is retried: a timeout quarantines at once,
+            # an expired deadline fails at once
+            records = wait_for(lambda: executor.idle, executor)
             assert kind in records[0]["error"]
             assert not hung.is_alive()
+            assert executor.supervisor.restarts == 0
             executor.shard_timeout = None  # no race for the next shard
             executor.submit(SPEC, shards[1])
-            records.update(drain_records(executor))
+            records.update(wait_for(lambda: executor.idle, executor))
         finally:
             executor.shutdown(kill=True)
         assert records[1]["status"] == "done"
@@ -258,8 +265,8 @@ class TestPersistentWorkers:
         # crash again; a fresh fork sees the env as it is now
         monkeypatch.setenv(CRASH_ENV, "0")
         # the backoff keeps the retry's fork after the delenv below
-        executor = ShardExecutor(workers=2, supervisor=WorkerSupervisor(
-            SupervisorPolicy(backoff_base=0.5)))
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.5)
+        executor = ShardExecutor(workers=2)
         try:
             shards = plan_shards(SPEC)
             for shard in shards:
@@ -276,8 +283,11 @@ class TestPersistentWorkers:
 
     def test_chaos_kills_only_busy_workers(self, monkeypatch):
         monkeypatch.setenv(HANG_ENV, "0")
+        # A restart would retire the idle worker this test watches (and
+        # re-run the hanging shard): quarantine the killed job at once.
+        monkeypatch.setattr(supervisor, "MAX_RESTARTS", 0)
         shards = plan_shards(SPEC)
-        executor = ShardExecutor(workers=2, supervisor=None)
+        executor = ShardExecutor(workers=2)
         chaos = ServiceChaos(seed=0)
         try:
             executor.submit(SPEC, shards[0])  # hangs
@@ -287,13 +297,15 @@ class TestPersistentWorkers:
             busy = busy_entry[0]
             ((idle, _),) = executor._idle
             assert chaos.kill_worker(executor) == busy.pid
-            records.update(drain_records(executor))
+            monkeypatch.delenv(HANG_ENV)  # nothing may hang the drain
+            records.update(wait_for(lambda: executor.idle, executor))
             assert idle.is_alive()
             assert chaos.kill_worker(executor) is None  # nothing busy
             assert idle.is_alive()
         finally:
             executor.shutdown(kill=True)
         assert records[0]["status"] == "errored"
+        assert records[0]["quarantined"]
         assert records[1]["status"] == "done"
         assert [e["pid"] for e in chaos.events] == [busy.pid]
 

@@ -201,7 +201,7 @@ def test_stats_flow_into_record():
 
 
 def test_campaign_report_surfaces_lint_and_vector_stats():
-    from repro.campaign.report import aggregate_records, render_report
+    from repro.campaign.report import CampaignSummary
     from repro.campaign.spec import CampaignSpec
 
     spec = CampaignSpec()
@@ -214,9 +214,10 @@ def test_campaign_report_surfaces_lint_and_vector_stats():
                        "num-checks": 9},
         },
     }}
-    agg = aggregate_records(spec, records)
+    summary = CampaignSummary.from_records(spec, records)
+    agg = summary.report_dict()
     assert agg["lint_findings"] == {"branch-on-maybe-poison": 2}
     assert agg["vector_ineligible"] == {"has-loop": 3}
-    text = render_report(spec, records)
+    text = summary.render_report()
     assert "branch-on-maybe-poison: 2" in text
     assert "has-loop: 3" in text

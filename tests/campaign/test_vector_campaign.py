@@ -14,7 +14,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign.checkpoint import CheckpointStore
-from repro.campaign.report import render_report
+from repro.campaign.report import CampaignSummary
 from repro.semantics import numpy_available
 
 requires_numpy = pytest.mark.skipif(
@@ -81,7 +81,8 @@ class TestSampledSurfacing:
 
     def test_report_renders_sampled_count(self, sampled_run):
         out, summary = sampled_run
-        report = render_report(SAMPLED, CheckpointStore(out).load())
+        report = CampaignSummary.from_records(
+            SAMPLED, CheckpointStore(out).load()).render_report()
         assert (f"{summary.verified} verified "
                 f"({summary.sampled_verified} sampled)") in report
 

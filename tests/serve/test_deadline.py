@@ -1,5 +1,6 @@
-"""Deadline propagation: timeout validation, the Deadline type, the
-bad-payload wire error, and the never-memoize-a-deadline-abort rule."""
+"""Deadline propagation: timeout validation, the bad-payload wire
+error, a refine item whose deadline expired before its batch ran, and
+the never-memoize-a-deadline-abort rule."""
 
 import asyncio
 import time
@@ -10,14 +11,14 @@ from repro.campaign import CampaignSpec
 from repro.campaign.worker import check_source
 from repro.perf import RefinementMemo
 from repro.serve import (
-    Deadline,
     ServeClient,
     ServeError,
     ServiceConfig,
     ValidationServer,
+    ValidationService,
     validate_timeout,
 )
-from repro.serve.deadline import deadline_at
+from repro.serve.service import ServiceError
 
 SRC = """define i4 @f(i4 %a, i4 %b) {
 entry:
@@ -50,21 +51,33 @@ class TestValidateTimeout:
             validate_timeout("x", name="budget")
 
 
-class TestDeadline:
-    def test_after_and_remaining(self):
-        d = Deadline.after(60)
-        assert 59 < d.remaining() <= 60
-        assert not d.expired
-        assert deadline_at(d) == d.at
-        assert deadline_at(None) is None
+class TestBatchDeadline:
+    SPEC = CampaignSpec(mode="random", count=1, num_instructions=1,
+                        pipeline="quick", fuel=300, max_inputs=4000)
 
-    def test_expired(self):
-        d = Deadline(time.monotonic() - 0.001)
-        assert d.expired
-        assert d.remaining() < 0
+    def test_item_expired_before_its_batch_fails_as_timeout(self):
+        async def main():
+            service = ValidationService(
+                ServiceConfig(workers=1, check_threads=1))
+            loop = asyncio.get_running_loop()
+            expired, live = loop.create_future(), loop.create_future()
+            now = time.monotonic()
+            try:
+                # deadlines are absolute time.monotonic() instants
+                await asyncio.wait_for(service._run_refine_batch(
+                    self.SPEC.memo_context(),
+                    [((self.SPEC, SRC, now - 1.0), expired),
+                     ((self.SPEC, SRC, now + 60.0), live)]), 60)
+            finally:
+                await service.aclose()
+            return expired, live
 
-    def test_repr_is_informative(self):
-        assert "Deadline" in repr(Deadline.after(1))
+        expired, live = asyncio.run(main())
+        assert isinstance(expired.exception(), ServiceError)
+        assert expired.exception().code == "timeout"
+        assert "before its refine batch ran" in str(expired.exception())
+        # the expired item does not fail its batch-mates
+        assert live.result()["verdict"] == "verified"
 
 
 class TestWireValidation:

@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.serve import queueing
 from repro.serve.queueing import Batcher, Draining, QueueFull, RequestGate
 
 
@@ -178,7 +179,7 @@ class TestBatcher:
                 future.set_result(item * 10)
 
         async def scenario():
-            batcher = Batcher(run_batch, max_batch=8)
+            batcher = Batcher(run_batch)
             results = await asyncio.gather(
                 *(batcher.submit("lane", i) for i in range(5)))
             await batcher.aclose()
@@ -189,7 +190,8 @@ class TestBatcher:
         assert sum(n for _, n in batches) == 5
         assert len(batches) <= 2
 
-    def test_max_batch_cap(self):
+    def test_max_batch_cap(self, monkeypatch):
+        monkeypatch.setattr(queueing, "MAX_BATCH", 2)
         sizes = []
 
         async def run_batch(key, batch):
@@ -198,7 +200,7 @@ class TestBatcher:
                 future.set_result(item)
 
         async def scenario():
-            batcher = Batcher(run_batch, max_batch=2)
+            batcher = Batcher(run_batch)
             await asyncio.gather(
                 *(batcher.submit("lane", i) for i in range(6)))
             await batcher.aclose()
@@ -216,7 +218,7 @@ class TestBatcher:
                 future.set_result(item)
 
         async def scenario():
-            batcher = Batcher(run_batch, max_batch=8)
+            batcher = Batcher(run_batch)
             await asyncio.gather(
                 batcher.submit("a", 1), batcher.submit("b", 2),
                 batcher.submit("a", 3))
@@ -243,7 +245,7 @@ class TestBatcher:
             batch[0][1].set_result("ok")  # resolves only the first
 
         async def scenario():
-            batcher = Batcher(run_batch, max_batch=2)
+            batcher = Batcher(run_batch)
             first = asyncio.ensure_future(batcher.submit("lane", 1))
             second = asyncio.ensure_future(batcher.submit("lane", 2))
             results = await asyncio.gather(first, second,
@@ -284,7 +286,7 @@ class TestBatcher:
                 for item, future in batch:
                     future.set_result(item)
 
-            batcher = Batcher(run_batch, max_batch=8)
+            batcher = Batcher(run_batch)
             first = asyncio.ensure_future(batcher.submit("lane", 0))
             await entered.wait()  # the first batch is running, held
             rest = [asyncio.ensure_future(batcher.submit("lane", i))
@@ -325,7 +327,7 @@ class TestBatcher:
                 entered.set()
                 await asyncio.Event().wait()  # never finishes
 
-            batcher = Batcher(run_batch, max_batch=1)
+            batcher = Batcher(run_batch)
             inflight = asyncio.ensure_future(batcher.submit("lane", 1))
             await entered.wait()
             queued = asyncio.ensure_future(batcher.submit("lane", 2))

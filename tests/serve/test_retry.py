@@ -9,7 +9,6 @@ import pytest
 from repro.serve import (
     CircuitBreaker,
     RetryingClient,
-    RetryPolicy,
     ServeClient,
     ServeError,
     ServiceConfig,
@@ -17,6 +16,8 @@ from repro.serve import (
     breaker_for,
     reset_breakers,
 )
+from repro.serve import retry
+from repro.serve.retry import FAILURE_THRESHOLD, RESET_TIMEOUT
 
 SRC = """define i4 @f(i4 %a, i4 %b) {
 entry:
@@ -48,6 +49,14 @@ class FakeClock:
         self.now += seconds
 
 
+def open_breaker(clock: FakeClock) -> CircuitBreaker:
+    """A breaker on ``clock`` that consecutive failures have opened."""
+    breaker = CircuitBreaker(clock=clock)
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure()
+    return breaker
+
+
 def free_port() -> int:
     """A port nothing is listening on (bind-then-close)."""
     with socket.socket() as s:
@@ -68,30 +77,10 @@ def with_server(scenario, config=None):
     return asyncio.run(main())
 
 
-class TestRetryPolicy:
-    def test_backoff_is_deterministic_per_seed(self):
-        policy = RetryPolicy(backoff_base=0.05, jitter=0.5, seed=7)
-        a = RetryingClient(port=1, policy=policy,
-                           breaker=CircuitBreaker())
-        b = RetryingClient(port=1, policy=policy,
-                           breaker=CircuitBreaker())
-        assert [a._backoff(k) for k in (1, 2, 3)] \
-            == [b._backoff(k) for k in (1, 2, 3)]
-
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_cap=0.2,
-                             jitter=0.0)
-        client = RetryingClient(port=1, policy=policy,
-                                breaker=CircuitBreaker())
-        assert client._backoff(1) == pytest.approx(0.1)
-        assert client._backoff(2) == pytest.approx(0.2)
-        assert client._backoff(5) == pytest.approx(0.2)  # capped
-
-
 class TestCircuitBreaker:
     def test_opens_after_threshold_and_sheds(self):
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=60)
-        for _ in range(2):
+        breaker = CircuitBreaker()
+        for _ in range(FAILURE_THRESHOLD - 1):
             breaker.record_failure()
         assert breaker.state == "closed"
         assert breaker.allow()
@@ -103,13 +92,11 @@ class TestCircuitBreaker:
 
     def test_half_open_trial_closes_on_success(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.02,
-                                 clock=clock)
-        breaker.record_failure()
+        breaker = open_breaker(clock)
         assert breaker.state == "open"
-        clock.advance(0.019)
+        clock.advance(RESET_TIMEOUT - 0.5)
         assert breaker.state == "open"
-        clock.advance(0.001)
+        clock.advance(0.5)
         assert breaker.state == "half-open"
         assert breaker.allow()  # one trial goes through
         breaker.record_success()
@@ -118,10 +105,8 @@ class TestCircuitBreaker:
 
     def test_half_open_failure_reopens(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.02,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.advance(0.03)
+        breaker = open_breaker(clock)
+        clock.advance(RESET_TIMEOUT)
         assert breaker.state == "half-open"
         breaker.record_failure()
         assert breaker.state == "open"
@@ -146,11 +131,11 @@ class TestRetryingClient:
 
         with_server(scenario)
 
-    def test_down_server_retries_then_opens_the_breaker(self):
+    def test_down_server_retries_then_opens_the_breaker(self, monkeypatch):
+        monkeypatch.setattr(retry, "FAILURE_THRESHOLD", 3)
         port = free_port()
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=60)
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.001, seed=1)
-        with RetryingClient(port=port, policy=policy,
+        breaker = CircuitBreaker()
+        with RetryingClient(port=port, attempts=3,
                             breaker=breaker) as client:
             with pytest.raises(ServeError) as err:
                 client.ping()
@@ -168,10 +153,8 @@ class TestRetryingClient:
     def test_half_open_trial_heals_against_a_live_server(self):
         def scenario(host, port):
             clock = FakeClock()
-            breaker = CircuitBreaker(failure_threshold=1,
-                                     reset_timeout=0.02, clock=clock)
-            breaker.record_failure()  # open it by hand
-            clock.advance(0.03)
+            breaker = open_breaker(clock)  # open it by hand
+            clock.advance(RESET_TIMEOUT)
             with RetryingClient(host=host, port=port,
                                 breaker=breaker) as client:
                 assert client.ping()["status"] == "ok"

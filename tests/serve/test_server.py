@@ -18,6 +18,7 @@ from repro.serve import (
     ServiceConfig,
     ValidationServer,
 )
+from repro.serve import queueing
 from repro.serve.queueing import NUM_BATCHED
 
 SRC = """define i4 @f(i4 %a, i4 %b) {
@@ -373,8 +374,34 @@ class TestBackpressureAndDrain:
 
         asyncio.run(main())
 
+    def test_shutdown_closes_idle_connections(self):
+        # Since Python 3.12, Server.wait_closed() waits for every open
+        # connection: an idle client must not keep shutdown waiting.
+        async def main():
+            server = ValidationServer(
+                config=ServiceConfig(workers=1, check_threads=1))
+            host, port = await server.start()
+            client = ServeClient(host=host, port=port, timeout=30)
+            try:
+                pong = await asyncio.to_thread(client.ping)
+                # hang guard: a stuck shutdown fails here, not by hanging
+                clean = await asyncio.wait_for(
+                    server.shutdown(drain_timeout=1), 30)
+                tail = await asyncio.to_thread(client._file.readline)
+            finally:
+                client.close()
+            return pong, clean, tail
+
+        pong, clean, tail = asyncio.run(main())
+        assert pong["status"] == "ok"
+        assert clean
+        assert tail == b""  # the server closed the idle connection
+
     def test_timed_out_drain_answers_running_and_queued_refines(
             self, monkeypatch):
+        # one refine per batch, so the second request queues behind the
+        # held first one instead of riding its batch
+        monkeypatch.setattr(queueing, "MAX_BATCH", 1)
         checking, release = hold_checks(monkeypatch)
         answers = {}
 
@@ -395,7 +422,7 @@ class TestBackpressureAndDrain:
         async def main():
             # like `repro serve`: the loop ends as soon as shutdown does
             server = ValidationServer(config=ServiceConfig(
-                workers=1, check_threads=1, batch_max=1))
+                workers=1, check_threads=1))
             host, port = await server.start()
             try:
                 for name in ("running", "queued"):
