@@ -20,7 +20,8 @@ Graceful drain (SIGTERM/SIGINT): the admission gate flips to
 ``draining`` — every new request is rejected with a structured error
 (HTTP 503 / ``draining`` frame) while in-flight requests run to their
 terminal frame — then the listener closes.  Refines still queued or
-running when the drain times out are answered ``draining`` instead.  A
+running when the drain times out are answered ``draining`` instead,
+and connections still open after the drain are closed.  A
 worker-process crash mid-request surfaces as an ``errored`` record or
 ``error`` frame; the connection stays healthy either way.
 """
