@@ -16,8 +16,8 @@ layers (each hop subtracts nothing, forwards the same number) where
 relative timeouts would silently re-grant the full budget at every
 hop.
 
-Deadline-aborted verdicts are a property of *this request's* budget,
-not of the checked function — they must never enter the memo store
+Verdicts aborted by a deadline are a property of *this request's*
+budget, not of the checked function — they must never enter the memo store
 (:mod:`repro.campaign.worker` skips recording them).
 """
 
