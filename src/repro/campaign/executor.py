@@ -359,9 +359,11 @@ class ShardExecutor:
             if self._idle and not fresh:
                 proc, conn = self._idle.pop()
             else:
-                if self._idle:
-                    # A restart must not inherit a survivor's state:
-                    # retire an idle worker to make room for a fork.
+                if (self._idle and len(self._running) + len(self._idle)
+                        >= self.workers):
+                    # A restart must not inherit a survivor's state: in
+                    # a full pool, retire an idle worker to make room
+                    # for a fork.
                     self._stop(*self._idle.pop(0))
                 proc, conn = self._spawn()
             try:

@@ -47,9 +47,6 @@ from .vector import (
     VectorIneligible,
     VectorPlan,
     numpy_available,
-    vector_binop_kernel,
-    vector_cast_kernel,
-    vector_icmp_kernel,
 )
 
 __all__ = [
@@ -64,5 +61,4 @@ __all__ = [
     "enumerate_behaviors", "run_once",
     "Memory",
     "VectorIneligible", "VectorPlan", "numpy_available",
-    "vector_binop_kernel", "vector_cast_kernel", "vector_icmp_kernel",
 ]

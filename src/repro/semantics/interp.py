@@ -27,8 +27,11 @@ times in a validation campaign.  The interpreter therefore *compiles*
 each function once per :class:`~repro.semantics.config.SemanticsConfig`
 into an :class:`ExecPlan`: per-block step lists whose operand fetchers,
 evaluator closures (:func:`~repro.semantics.eval.binop_evaluator` and
-friends), and config decisions are resolved up front, replacing the
-per-step ``isinstance`` dispatch chain and dict lookups.  Plans make
+friends, which look each result up in the operation's table of
+:mod:`repro.semantics.eval`, the one definition of every integer rule
+that the vector engine reads too), and config decisions are resolved up
+front, replacing the per-step ``isinstance`` dispatch chain and dict
+lookups.  Plans make
 *no* nondeterministic choices at compile time, so a planned execution
 consults the oracle in exactly the same order as the historical
 interpreter — behavior sets are unchanged, only faster to enumerate.
@@ -99,9 +102,6 @@ from .eval import (
     UBError,
     binop_evaluator,
     cast_evaluator,
-    eval_binop,
-    eval_cast,
-    eval_icmp,
     icmp_evaluator,
 )
 from .memory import Memory, uninit_bit_for

@@ -18,6 +18,14 @@ one such pair: an input tuple plus the choices made so far.
   the only partially-undef values come from memory and bitcasts, and
   every binop, icmp and cast expands its operands before computing.
 
+Every binop, icmp and cast is one **gather** from the
+:class:`~repro.semantics.eval.OpTable` of its opcode (or predicate),
+width and flags: a lane's operand values, with poison mapped to the
+table's poison index, pick its entry, and the entry gives the lane's
+value, poison, undef and UB bits.  The interpreter's closures read the
+same tables, so both engines run the one definition of each rule in
+:mod:`repro.semantics.eval`.
+
 Nondeterminism is **lane forking**, one mechanism for every choice point
 the scalar :class:`~repro.semantics.interp.Oracle` would consult:
 
@@ -55,7 +63,9 @@ later executes UB keeps the events it made before; the run's
 that flag a call is ineligible, as it is for refinement checks.
 
 Everything outside this fragment — loops, memory, other calls, vectors,
-switches — raises :class:`VectorIneligible`, as does a function whose
+switches, integers wider than the tables'
+:data:`~repro.semantics.eval.TABLE_MAX_WIDTH` — raises
+:class:`VectorIneligible`, as does a function whose
 paths hold more choice points than the scalar oracle's ``max_choices``
 or whose forks would hold more than :data:`MAX_LANES` lanes at once.
 The caller then falls back to the scalar interpreter, which remains the
@@ -69,6 +79,7 @@ stack fully functional.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised via the no-numpy CI leg
@@ -86,7 +97,6 @@ from ..ir.instructions import (
     CastInst,
     FreezeInst,
     IcmpInst,
-    IcmpPred,
     Instruction,
     Opcode,
     ReturnInst,
@@ -95,7 +105,16 @@ from ..ir.instructions import (
 )
 from ..ir.types import IntType, Type
 from ..ir.values import ConstantInt, PoisonValue, UndefValue, Value
-from .config import BranchOnPoison, SelectSemantics, SemanticsConfig, ShiftOutOfRange
+from .config import BranchOnPoison, SelectSemantics, SemanticsConfig
+from .domains import POISON, PartialUndef
+from .eval import (
+    TABLE_MAX_WIDTH,
+    UB_ENTRY,
+    OpTable,
+    binop_table,
+    cast_table,
+    icmp_table,
+)
 
 NUM_PLANS_LOWERED = Statistic(
     "vector", "num-plans-lowered",
@@ -104,18 +123,12 @@ NUM_PLAN_RUNS = Statistic(
     "vector", "num-plan-runs",
     "Vector plan executions (one per side of a check)")
 
-#: widest integer the kernels handle without int64 overflow risk
-#: (mul/shl of two w-bit values must fit: 2w + 1 < 63).
-MAX_WIDTH = 16
 #: acyclic entry→exit paths beyond this are not worth lowering.
 MAX_PATHS = 8
 #: live lanes one path program may hold at once (input tuples times the
 #: choice prefixes forked from them); past it the check falls back to
 #: the scalar engine instead of growing memory.
 MAX_LANES = 1 << 16
-
-_DIVISION_OPS = (Opcode.UDIV, Opcode.SDIV, Opcode.UREM, Opcode.SREM)
-_SHIFT_OPS = (Opcode.SHL, Opcode.LSHR, Opcode.ASHR)
 
 
 def numpy_available() -> bool:
@@ -141,209 +154,49 @@ def _require_numpy() -> None:
             "numpy is not installed (pip install 'repro[vector]')")
 
 
-def _signed(val, width: int):
-    """Two's-complement reinterpretation of lanes in ``[0, 2^w)``."""
-    half = 1 << (width - 1)
-    full = 1 << width
-    return val - (val >= half) * full
-
-
 # ---------------------------------------------------------------------------
-# Per-opcode kernels, mirroring the eval.py specializers lane-wise.
+# The gather kernel: eval.py's operation tables, read lane-wise.
 #
 # A kernel maps expanded operand lanes ``(aval, apois[, bval, bpois])``
-# to ``(val, pois, ub, undef)``, where ``ub`` is None for opcodes that
-# cannot trigger immediate UB and ``undef`` is None for opcodes that
-# cannot yield undef (all but out-of-range shifts under OLD).  Value
-# lanes are always masked into [0, 2^w) and zeroed under poison, UB and
-# undef, so garbage stays bounded.
+# to ``(val, pois, ub, undef)``, where ``ub`` is None for a table with
+# no UB entry and ``undef`` is None for one with no undef entry (all but
+# out-of-range shifts under OLD).  Value lanes are table values, so they
+# stay in [0, 2^w) and are 0 under poison, UB and undef.
 # ---------------------------------------------------------------------------
 
 #: (val, pois, ub, undef) lane quadruple.
 KernelResult = Tuple[object, object, Optional[object], Optional[object]]
-BinopKernel = Callable[[object, object, object, object], KernelResult]
 
 
-def vector_binop_kernel(opcode: Opcode, width: int,
-                        config: SemanticsConfig,
-                        nsw: bool = False, nuw: bool = False,
-                        exact: bool = False) -> BinopKernel:
-    """Lane-parallel analog of :func:`repro.semantics.eval.binop_evaluator`.
-
-    Must agree with ``eval_binop`` on every lane (the hypothesis suite
-    in ``tests/semantics/test_vector_kernels.py`` holds the two to
-    element-wise equality over random widths, flags, and poison lanes).
-    """
-    _require_numpy()
+@functools.lru_cache(maxsize=None)
+def _table_lanes(table: OpTable) -> tuple:
+    """``(val, pois, ub, undef)`` arrays over ``table``'s entries."""
     np = _np
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    full = 1 << width
-
-    if opcode in _DIVISION_OPS:
-        signed_op = opcode in (Opcode.SDIV, Opcode.SREM)
-
-        def div(aval, apois, bval, bpois):
-            # A zero or poison divisor is immediate UB even when the
-            # dividend is poison (eval._eval_division's ordering).
-            ub = bpois | (bval == 0)
-            if signed_op:
-                sa = _signed(aval, width)
-                sb = _signed(bval, width)
-                ub = ub | (~ub & ~apois & (sa == -half) & (sb == -1))
-                sb_safe = np.where(ub, 1, sb)
-                q_abs = np.abs(sa) // np.abs(sb_safe)
-                q = np.where((sa < 0) != (sb_safe < 0), -q_abs, q_abs)
-                r = sa - q * sb_safe
-                pois = apois
-                if opcode is Opcode.SDIV:
-                    if exact:
-                        pois = pois | (r != 0)
-                    val = q & mask
-                else:
-                    val = r & mask
-            else:
-                b_safe = np.where(ub, 1, bval)
-                pois = apois
-                if opcode is Opcode.UDIV:
-                    if exact:
-                        pois = pois | (aval % b_safe != 0)
-                    val = aval // b_safe
-                else:
-                    val = aval % b_safe
-            return np.where(pois | ub, 0, val), pois, ub, None
-        return div
-
-    if opcode in _SHIFT_OPS:
-        # Out-of-range amounts yield undef (OLD) or poison (NEW); either
-        # way a poison operand wins first (eval's ordering).
-        oob_undef = config.shift_oob is ShiftOutOfRange.UNDEF
-
-        def shift(aval, apois, bval, bpois):
-            oob = bval >= width
-            pois = apois | bpois
-            if oob_undef:
-                undef = oob & ~pois
-            else:
-                pois = pois | oob
-                undef = None
-            # With a zero amount no flag below can fire, so oob lanes
-            # take exactly the undef/poison outcome decided above.
-            b_safe = np.where(oob, 0, bval)
-            if opcode is Opcode.SHL:
-                raw = aval << b_safe
-                val = raw & mask
-                if nuw:
-                    pois = pois | (raw >= full)
-                if nsw:
-                    pois = pois | (
-                        (_signed(val, width) >> b_safe)
-                        != _signed(aval, width))
-            else:
-                if exact:
-                    pois = pois | ((aval & ((1 << b_safe) - 1)) != 0)
-                if opcode is Opcode.LSHR:
-                    val = aval >> b_safe
-                else:
-                    val = (_signed(aval, width) >> b_safe) & mask
-            dead = pois if undef is None else pois | undef
-            return np.where(dead, 0, val), pois, None, undef
-        return shift
-
-    if opcode in (Opcode.ADD, Opcode.SUB, Opcode.MUL):
-        def arith(aval, apois, bval, bpois):
-            pois = apois | bpois
-            if opcode is Opcode.ADD:
-                raw = aval + bval
-                if nuw:
-                    pois = pois | (raw >= full)
-            elif opcode is Opcode.SUB:
-                raw = aval - bval
-                if nuw:
-                    pois = pois | (raw < 0)
-            else:
-                raw = aval * bval
-                if nuw:
-                    pois = pois | (raw >= full)
-            if nsw:
-                sa = _signed(aval, width)
-                sb = _signed(bval, width)
-                if opcode is Opcode.ADD:
-                    s = sa + sb
-                elif opcode is Opcode.SUB:
-                    s = sa - sb
-                else:
-                    s = sa * sb
-                pois = pois | (s < -half) | (s > half - 1)
-            return np.where(pois, 0, raw & mask), pois, None, None
-        return arith
-
-    if opcode in (Opcode.AND, Opcode.OR, Opcode.XOR):
-        def bitwise(aval, apois, bval, bpois):
-            pois = apois | bpois
-            if opcode is Opcode.AND:
-                val = aval & bval
-            elif opcode is Opcode.OR:
-                val = aval | bval
-            else:
-                val = aval ^ bval
-            return np.where(pois, 0, val), pois, None, None
-        return bitwise
-
-    raise VectorIneligible("unsupported-op",
-                           f"no vector kernel for {opcode.value}")
+    entries = table.entries
+    val = np.array([e if type(e) is int else 0 for e in entries],
+                   dtype=np.int64)
+    pois = np.array([e is POISON for e in entries])
+    ub = np.array([e is UB_ENTRY for e in entries])
+    undef = np.array([type(e) is PartialUndef for e in entries])
+    return (val, pois, ub if ub.any() else None,
+            undef if undef.any() else None)
 
 
-def vector_icmp_kernel(pred: IcmpPred, width: int) -> BinopKernel:
-    """Lane-parallel analog of :func:`repro.semantics.eval.icmp_evaluator`."""
-    _require_numpy()
+def _gather_kernel(table: OpTable) -> Callable[..., KernelResult]:
+    """The lane-parallel form of ``table``: each lane's operand indices
+    (its value, or the poison index under poison) pick its entry."""
     np = _np
+    val, pois, ub, undef = _table_lanes(table)
+    p = table.poison_index
+    stride = p + 1
 
-    def icmp(aval, apois, bval, bpois):
-        pois = apois | bpois
-        a, b = aval, bval
-        if pred.is_signed:
-            a = _signed(a, width)
-            b = _signed(b, width)
-        if pred in (IcmpPred.EQ,):
-            bits = a == b
-        elif pred in (IcmpPred.NE,):
-            bits = a != b
-        elif pred in (IcmpPred.UGT, IcmpPred.SGT):
-            bits = a > b
-        elif pred in (IcmpPred.UGE, IcmpPred.SGE):
-            bits = a >= b
-        elif pred in (IcmpPred.ULT, IcmpPred.SLT):
-            bits = a < b
-        else:
-            bits = a <= b
-        return np.where(pois, 0, bits * 1), pois, None, None
-    return icmp
-
-
-def vector_cast_kernel(opcode: Opcode, src_width: int,
-                       dest_width: int) -> Callable[[object, object],
-                                                    KernelResult]:
-    """Lane-parallel analog of :func:`repro.semantics.eval.cast_evaluator`."""
-    _require_numpy()
-    np = _np
-    dest_mask = (1 << dest_width) - 1
-
-    if opcode is Opcode.ZEXT:
-        def zext(aval, apois):
-            return np.where(apois, 0, aval), apois, None, None
-        return zext
-    if opcode is Opcode.TRUNC:
-        def trunc(aval, apois):
-            return np.where(apois, 0, aval & dest_mask), apois, None, None
-        return trunc
-    if opcode is Opcode.SEXT:
-        def sext(aval, apois):
-            return (np.where(apois, 0, _signed(aval, src_width) & dest_mask),
-                    apois, None, None)
-        return sext
-    raise VectorIneligible("unsupported-op",
-                           f"no vector kernel for cast {opcode.value}")
+    def gather(aval, apois, *b):
+        k = np.where(apois, p, aval)
+        if b:
+            k = k * stride + np.where(b[1], p, b[0])
+        return (val[k], pois[k], None if ub is None else ub[k],
+                None if undef is None else undef[k])
+    return gather
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +334,10 @@ def _int_width(ty: Type, what: str) -> int:
     if not isinstance(ty, IntType):
         raise VectorIneligible("non-int-type",
                                f"{what} has non-integer type {ty}")
-    if ty.bits > MAX_WIDTH:
+    if ty.bits > TABLE_MAX_WIDTH:
         raise VectorIneligible("width",
                                f"{what} is {ty.bits} bits wide "
-                               f"(vector cap {MAX_WIDTH})")
+                               f"(vector cap {TABLE_MAX_WIDTH})")
     return ty.bits
 
 
@@ -815,12 +668,12 @@ def _compile_vector_instruction(inst: Instruction,
     if isinstance(inst, (BinaryInst, IcmpInst)):
         if isinstance(inst, BinaryInst):
             width = _int_width(inst.type, inst.ref())
-            kernel = vector_binop_kernel(
-                inst.opcode, width, config,
-                nsw=inst.nsw, nuw=inst.nuw, exact=inst.exact)
+            table = binop_table(inst.opcode, width, config, nsw=inst.nsw,
+                                nuw=inst.nuw, exact=inst.exact)
         else:
             width = _int_width(inst.lhs.type, inst.ref())
-            kernel = vector_icmp_kernel(inst.pred, width)
+            table = icmp_table(inst.pred, width)
+        kernel = _gather_kernel(table)
         use_a, forks_a = _compile_use(inst.lhs, config, width)
         use_b, forks_b = _compile_use(inst.rhs, config, width)
         program.choice_points += forks_a + forks_b
@@ -840,7 +693,11 @@ def _compile_vector_instruction(inst: Instruction,
     if isinstance(inst, CastInst):
         src_w = _int_width(inst.value.type, inst.ref())
         dest_w = _int_width(inst.type, inst.ref())
-        kernel = vector_cast_kernel(inst.opcode, src_w, dest_w)
+        if inst.opcode not in (Opcode.ZEXT, Opcode.SEXT, Opcode.TRUNC):
+            raise VectorIneligible(
+                "unsupported-op",
+                f"no vector lowering for cast {inst.opcode.value}")
+        kernel = _gather_kernel(cast_table(inst.opcode, src_w, dest_w))
         use, forks = _compile_use(inst.value, config, src_w)
         program.choice_points += forks
 

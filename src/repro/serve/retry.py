@@ -6,8 +6,10 @@ with the three standard client-side containment tools:
 * **retries with jittered exponential backoff** — transport failures
   and explicitly retryable wire codes (a dropped connection surfaces as
   ``internal``; backpressure as ``queue-full``) are re-sent after
-  ``base * 2**(k-1)`` seconds, jittered, from a seeded RNG so tests and
-  the E14 chaos bench replay identical schedules.  Semantic failures
+  ``base * 2**(k-1)`` seconds, jittered by an RNG each client seeds on
+  its own, so clients that fail together do not retry in lockstep (the
+  worker supervisor's RNG keeps seed 0: the E14 chaos bench replays its
+  schedule).  Semantic failures
   (``bad-request``, ``parse-error``, ``bad-payload``, ``unknown-op``,
   ``crashed``) never retry — the same request would fail the same way.
   ``timeout`` does not retry either: the budget belonged to the
@@ -174,7 +176,7 @@ class RetryingClient(ClientOps):
         self.breaker = (breaker if breaker is not None
                         else breaker_for(host, port))
         self._client = ServeClient(host, port, timeout=timeout)
-        self._rng = random.Random(0)
+        self._rng = random.Random()
         self.retries = 0
 
     def close(self) -> None:

@@ -192,9 +192,9 @@ class TestPersistentWorkers:
     def test_survivor_keeps_serving_after_neighbour_crashes(
             self, monkeypatch, pid_stamped):
         monkeypatch.setenv(CRASH_ENV, "0")
-        # A restart retires an idle worker to fork a fresh one, which
-        # would retire the survivor this test watches: quarantine the
-        # crash at once instead.
+        # A restart that finds the pool full retires an idle worker to
+        # fork a fresh one, and the survivor this test watches may be
+        # that worker: quarantine the crash at once instead.
         monkeypatch.setattr(supervisor, "MAX_RESTARTS", 0)
         executor = ShardExecutor(workers=2)
         shards = plan_shards(SPEC)
@@ -216,6 +216,33 @@ class TestPersistentWorkers:
         assert records[2]["pid"] == records[1]["pid"]
         assert records[3]["pid"] != records[1]["pid"]
         assert _workers_started() - before == 1
+
+    def test_restart_forks_into_a_free_slot_without_retiring(
+            self, monkeypatch, pid_stamped):
+        # shard 0 crashes on every attempt.  Its restarts need fresh
+        # workers, and the pool has a free slot for each, so shard 1's
+        # worker is not retired: it takes shard 2, and the run forks
+        # 2 + MAX_RESTARTS workers, not one more.
+        monkeypatch.setenv(CRASH_ENV, "0")
+        executor = ShardExecutor(workers=2)
+        shards = plan_shards(SPEC)
+        before = _workers_started()
+        try:
+            executor.submit(SPEC, shards[0])
+            executor.submit(SPEC, shards[1])
+            records = wait_for(lambda: executor.idle, executor)
+            executor.submit(SPEC, shards[2])
+            records.update(wait_for(lambda: executor.idle, executor))
+            alive = [proc.pid for proc, _ in executor._idle
+                     if proc.is_alive()]
+        finally:
+            executor.shutdown(kill=True)
+        assert records[0]["status"] == "errored"
+        assert records[0]["quarantined"]
+        assert records[0]["restarts"] == supervisor.MAX_RESTARTS == 2
+        assert records[2]["pid"] == records[1]["pid"]
+        assert records[1]["pid"] in alive
+        assert _workers_started() - before == 4
 
     def test_workers_hold_no_coordinator_sockets(self):
         # a long-lived worker must not keep the coordinator's sockets
@@ -283,8 +310,8 @@ class TestPersistentWorkers:
 
     def test_chaos_kills_only_busy_workers(self, monkeypatch):
         monkeypatch.setenv(HANG_ENV, "0")
-        # A restart would retire the idle worker this test watches (and
-        # re-run the hanging shard): quarantine the killed job at once.
+        # A restart would re-run the hanging shard: quarantine the
+        # killed job at once.
         monkeypatch.setattr(supervisor, "MAX_RESTARTS", 0)
         shards = plan_shards(SPEC)
         executor = ShardExecutor(workers=2)

@@ -29,6 +29,7 @@ from repro.semantics import (
     VectorIneligible,
     numpy_available,
 )
+from repro.semantics.eval import TABLE_MAX_WIDTH
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy not installed ([vector] extra)")
@@ -169,6 +170,26 @@ class TestEligibilityBoundary:
         sca = _check(STRAIGHT_SRC, STRAIGHT_TGT, "scalar", max_inputs=10)
         assert vec.verdict == "inconclusive"
         assert _key(vec) == _key(sca)
+
+    @requires_numpy
+    @pytest.mark.parametrize("extra, decided", [(0, True), (1, False)],
+                             ids=["at-the-cap", "one-bit-wider"])
+    def test_table_width_cap(self, extra, decided):
+        # the vector engine gathers from eval.py's operation tables,
+        # which stop at TABLE_MAX_WIDTH: one bit wider declines `width`
+        # and the scalar engine answers, counterexample and all
+        ty = f"i{TABLE_MAX_WIDTH + extra}"
+        src = (f"define {ty} @f({ty} %x) {{\nentry:\n"
+               f"  %r = add {ty} %x, 1\n  ret {ty} %r\n}}\n")
+        tgt = src.replace("add", "add nsw")
+        checks = _refine_stat("num-vector-checks")
+        declines = _refine_stat("num-vector-ineligible-width")
+        vec = _check(src, tgt, "vector")
+        assert _refine_stat("num-vector-checks") == checks + decided
+        assert _refine_stat("num-vector-ineligible-width") \
+            == declines + (not decided)
+        assert vec.verdict == "failed"
+        assert _key(vec) == _key(_check(src, tgt, "scalar"))
 
     def test_numpy_absence_is_a_clean_fallback(self, monkeypatch):
         # Simulate the no-numpy install: the auto engine must degrade

@@ -1,11 +1,16 @@
-"""Differential tests: numpy lane kernels vs. the scalar evaluator.
+"""Differential tests: operation tables and the gather kernel vs. the
+generic evaluator.
 
-Every vector kernel must agree element-wise with *both* the generic
-``eval_*`` functions and the per-instruction specializers they mirror
-(``binop_evaluator`` & co.), over random widths, flags, and poison
-lanes.  The scalar side is the oracle; the outcome correspondence is
+``eval_binop``/``eval_icmp``/``eval_cast`` are the one definition of
+every integer rule; both engines read them through per-operation tables
+(``OpTable``): the interpreter through the ``*_evaluator`` lookup
+closures, the vector engine through one gather kernel.  Every table
+entry, at every width up to ``TABLE_MAX_WIDTH`` and under NEW and OLD,
+must match the generic function, and so must every lane the kernel
+gathers, over random widths, flags, poison lanes and constant operands.
+The outcome correspondence is
 
-* ``UBError`` raised        <-> the kernel's ub lane is set,
+* ``UBError`` raised        <-> a UB entry / the kernel's ub lane,
 * ``POISON`` returned       <-> the poison lane is set,
 * undef returned            <-> the undef lane is set (OLD's
   out-of-range shifts),
@@ -42,21 +47,23 @@ from repro.semantics import (
     enumerate_behaviors,
 )
 from repro.semantics.eval import (
+    TABLE_MAX_WIDTH,
+    UB_ENTRY,
     UBError,
     binop_evaluator,
+    binop_table,
     cast_evaluator,
+    cast_table,
     eval_binop,
     eval_cast,
     eval_icmp,
     icmp_evaluator,
+    icmp_table,
 )
 from repro.semantics.vector import (
-    MAX_WIDTH,
     VectorIneligible,
     VectorPlan,
-    vector_binop_kernel,
-    vector_cast_kernel,
-    vector_icmp_kernel,
+    _gather_kernel,
 )
 
 np = pytest.importorskip("numpy")
@@ -71,6 +78,25 @@ BINOPS = [
 WRAP_FLAG_OPS = (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.SHL)
 #: opcodes where exact is meaningful
 EXACT_OPS = (Opcode.UDIV, Opcode.SDIV, Opcode.LSHR, Opcode.ASHR)
+CAST_OPS = [Opcode.ZEXT, Opcode.SEXT, Opcode.TRUNC]
+
+
+def _flag_sets(opcode):
+    """Every meaningful (nsw, nuw, exact) combination of ``opcode``."""
+    flag_sets = [(False, False, False)]
+    if opcode in WRAP_FLAG_OPS:
+        flag_sets += [(True, False, False), (False, True, False),
+                      (True, True, False)]
+    if opcode in EXACT_OPS:
+        flag_sets += [(False, False, True)]
+    return flag_sets
+
+
+def _cast_widths(opcode, width):
+    """(src, dest) pairs with ``width`` as the wider one."""
+    if opcode is Opcode.TRUNC:
+        return [(width, d) for d in range(1, width)]
+    return [(s, width) for s in range(1, width)]
 
 
 def _lane_arrays(lanes):
@@ -82,12 +108,19 @@ def _lane_arrays(lanes):
     return aval, apois, bval, bpois
 
 
+def _all_lanes(width):
+    """Every (a, b) operand pair over i``width``, poison included, in
+    table order."""
+    candidates = [(v, False) for v in range(1 << width)] + [(0, True)]
+    return [(a, ap, b, bp) for a, ap in candidates for b, bp in candidates]
+
+
 def _scalar_outcome(fn, *args):
     """Run a scalar evaluator, normalizing to an outcome tag."""
     try:
         result = fn(*args)
-    except UBError:
-        return ("ub", None)
+    except UBError as e:
+        return ("ub", str(e))
     if result is POISON:
         return ("poison", None)
     if isinstance(result, PartialUndef):
@@ -96,14 +129,37 @@ def _scalar_outcome(fn, *args):
     return ("val", int(result))
 
 
+def _entry_outcome(entry):
+    if entry is UB_ENTRY:
+        return ("ub",)
+    if entry is POISON:
+        return ("poison", None)
+    if isinstance(entry, PartialUndef):
+        assert entry.is_fully_undef
+        return ("undef", None)
+    return ("val", entry)
+
+
 def _kernel_outcome(val, pois, ub, i, undef=None):
     if ub is not None and bool(ub[i]):
-        return ("ub", None)
+        return ("ub",)
     if bool(pois[i]):
         return ("poison", None)
     if undef is not None and bool(undef[i]):
         return ("undef", None)
     return ("val", int(val[i]))
+
+
+def _tag(outcome):
+    """An outcome without the UBError text (tables and lanes carry
+    only the fact of UB)."""
+    return outcome[:1] if outcome[0] == "ub" else outcome
+
+
+def _broadcast(out, shape):
+    val, pois, ub, undef = out
+    return tuple(None if x is None else np.broadcast_to(x, shape)
+                 for x in (val, pois, ub, undef))
 
 
 def _assert_lane_invariants(val, pois, ub, width, undef=None):
@@ -118,36 +174,174 @@ def _assert_lane_invariants(val, pois, ub, width, undef=None):
 
 
 def _check_binop_lanes(opcode, width, lanes, nsw, nuw, exact, config=NEW):
-    kernel = vector_binop_kernel(opcode, width, config,
-                                 nsw=nsw, nuw=nuw, exact=exact)
+    kernel = _gather_kernel(binop_table(opcode, width, config, nsw=nsw,
+                                        nuw=nuw, exact=exact))
     specialized = binop_evaluator(opcode, width, config,
                                   nsw=nsw, nuw=nuw, exact=exact)
     aval, apois, bval, bpois = _lane_arrays(lanes)
-    val, pois, ub, undef = kernel(aval, apois, bval, bpois)
-    val, pois = np.broadcast_to(val, aval.shape), np.broadcast_to(
-        pois, aval.shape)
-    if ub is not None:
-        ub = np.broadcast_to(ub, aval.shape)
-    if undef is not None:
-        undef = np.broadcast_to(undef, aval.shape)
+    val, pois, ub, undef = _broadcast(kernel(aval, apois, bval, bpois),
+                                      aval.shape)
     _assert_lane_invariants(val, pois, ub, width, undef)
     for i, (a, ap, b, bp) in enumerate(lanes):
         sa = POISON if ap else a
         sb = POISON if bp else b
-        want_generic = _scalar_outcome(
+        want = _scalar_outcome(
             eval_binop, opcode, sa, sb, width, config, nsw, nuw, exact)
-        want_special = _scalar_outcome(specialized, sa, sb)
-        got = _kernel_outcome(val, pois, ub, i, undef)
         context = (f"{config.name} {opcode.value} w={width} nsw={nsw} "
                    f"nuw={nuw} exact={exact} lane {i}: a={sa} b={sb}")
-        assert want_generic == want_special, context
-        assert got == want_generic, context
+        assert _scalar_outcome(specialized, sa, sb) == want, context
+        assert _kernel_outcome(val, pois, ub, i, undef) == _tag(want), \
+            context
+
+
+class TestOpTables:
+    """Every entry of every table up to the width cap, under NEW and
+    OLD, against the generic function; the interpreter's lookup
+    closure (``UBError`` text included) and the gather kernel over all
+    operand lanes must agree with it too."""
+
+    @pytest.mark.parametrize("config", [NEW, OLD], ids=["new", "old"])
+    @pytest.mark.parametrize("opcode", BINOPS)
+    def test_binop_tables(self, opcode, config):
+        for width in range(1, TABLE_MAX_WIDTH + 1):
+            operands = [*range(1 << width), POISON]
+            for nsw, nuw, exact in _flag_sets(opcode):
+                table = binop_table(opcode, width, config, nsw=nsw,
+                                    nuw=nuw, exact=exact)
+                pairs = list(itertools.product(operands, operands))
+                assert len(table.entries) == len(pairs)
+                for (a, b), entry in zip(pairs, table.entries):
+                    want = _scalar_outcome(eval_binop, opcode, a, b, width,
+                                           config, nsw, nuw, exact)
+                    assert _entry_outcome(entry) == _tag(want), \
+                        (config.name, opcode, width, nsw, nuw, exact, a, b)
+                self._check_lookup_and_gather(
+                    table,
+                    binop_evaluator(opcode, width, config, nsw=nsw,
+                                    nuw=nuw, exact=exact),
+                    width, width)
+
+    @pytest.mark.parametrize("pred", list(IcmpPred))
+    def test_icmp_tables(self, pred):
+        for width in range(1, TABLE_MAX_WIDTH + 1):
+            operands = [*range(1 << width), POISON]
+            table = icmp_table(pred, width)
+            pairs = list(itertools.product(operands, operands))
+            for (a, b), entry in zip(pairs, table.entries, strict=True):
+                want = _scalar_outcome(eval_icmp, pred, a, b, width)
+                assert _entry_outcome(entry) == want, (pred, width, a, b)
+            self._check_lookup_and_gather(
+                table, icmp_evaluator(pred, width), width, 1)
+
+    @pytest.mark.parametrize("opcode", CAST_OPS)
+    def test_cast_tables(self, opcode):
+        for width in range(2, TABLE_MAX_WIDTH + 1):
+            for src_w, dest_w in _cast_widths(opcode, width):
+                operands = [*range(1 << src_w), POISON]
+                table = cast_table(opcode, src_w, dest_w)
+                for a, entry in zip(operands, table.entries, strict=True):
+                    want = _scalar_outcome(eval_cast, opcode, a, src_w,
+                                           dest_w)
+                    assert _entry_outcome(entry) == want, \
+                        (opcode, src_w, dest_w, a)
+                lookup = cast_evaluator(opcode, src_w, dest_w)
+                kernel = _gather_kernel(table)
+                aval = np.array([0 if a is POISON else a
+                                 for a in operands], dtype=np.int64)
+                apois = np.array([a is POISON for a in operands])
+                val, pois, ub, undef = kernel(aval, apois)
+                assert ub is None and undef is None
+                _assert_lane_invariants(val, pois, None, dest_w)
+                for i, a in enumerate(operands):
+                    want = _scalar_outcome(eval_cast, opcode, a, src_w,
+                                           dest_w)
+                    assert _scalar_outcome(lookup, a) == want
+                    assert _kernel_outcome(val, pois, None, i) == want
+
+    @staticmethod
+    def _check_lookup_and_gather(table, lookup, width, result_width):
+        """The lookup closure matches the generic function (``fn``)
+        outcome for outcome, ``UBError`` text included, and the gather
+        over every operand lane matches the entries."""
+        lanes = _all_lanes(width)
+        aval, apois, bval, bpois = _lane_arrays(lanes)
+        val, pois, ub, undef = _broadcast(
+            _gather_kernel(table)(aval, apois, bval, bpois), aval.shape)
+        _assert_lane_invariants(val, pois, ub, result_width, undef)
+        assert (ub is None) == (UB_ENTRY not in table.entries)
+        for i, (a, ap, b, bp) in enumerate(lanes):
+            sa = POISON if ap else a
+            sb = POISON if bp else b
+            want = _scalar_outcome(table.fn, sa, sb)
+            assert _scalar_outcome(lookup, sa, sb) == want, (i, sa, sb)
+            assert _kernel_outcome(val, pois, ub, i, undef) == _tag(want)
+
+    def test_ub_entry_raises_the_generic_text(self):
+        sdiv = binop_evaluator(Opcode.SDIV, 2, NEW)
+        for (a, b), text in [((1, 0), "sdiv by zero"),
+                             ((1, POISON), "sdiv by poison"),
+                             ((2, 3), "sdiv overflow (INT_MIN / -1)")]:
+            with pytest.raises(UBError) as exc:
+                sdiv(a, b)
+            assert str(exc.value) == exc.value.reason == text
+
+    @pytest.mark.parametrize("config", [NEW, OLD], ids=["new", "old"])
+    @pytest.mark.parametrize("opcode", [Opcode.SDIV, Opcode.SHL,
+                                        Opcode.ADD])
+    def test_constant_operands_gather_as_numpy_scalars(self, opcode,
+                                                       config):
+        """A constant operand reaches the kernel as a numpy scalar
+        (``_compile_fetch``); it broadcasts against lane arrays, and two
+        constants gather one scalar outcome."""
+        width = 2
+        kernel = _gather_kernel(binop_table(opcode, width, config))
+        candidates = [(np.int64(v), np.False_) for v in range(1 << width)]
+        candidates.append((np.int64(0), np.True_))
+        lanes = _all_lanes(width)
+        aval, apois, _, _ = _lane_arrays(lanes)
+        for bval, bpois in candidates:
+            sb = POISON if bpois else int(bval)
+            val, pois, ub, undef = _broadcast(
+                kernel(aval, apois, bval, bpois), aval.shape)
+            for aval_s, apois_s in candidates:
+                one = kernel(aval_s, apois_s, bval, bpois)
+                assert all(x is None or not np.ndim(x) for x in one)
+                sa = POISON if apois_s else int(aval_s)
+                want = _tag(_scalar_outcome(eval_binop, opcode, sa, sb,
+                                            width, config))
+                assert _kernel_outcome(*(None if x is None
+                                         else np.reshape(x, 1)
+                                         for x in one[:3]), 0,
+                                       None if one[3] is None
+                                       else np.reshape(one[3], 1)) == want
+            for i, (a, ap, _, _) in enumerate(lanes):
+                sa = POISON if ap else a
+                want = _tag(_scalar_outcome(eval_binop, opcode, sa, sb,
+                                            width, config))
+                assert _kernel_outcome(val, pois, ub, i, undef) == want
+
+    def test_wider_operands_use_the_generic_function(self):
+        width = TABLE_MAX_WIDTH + 1
+        table = binop_table(Opcode.ADD, width, NEW)
+        assert table.entries is None
+        lookup = binop_evaluator(Opcode.ADD, width, NEW)
+        assert lookup is table.fn
+        assert lookup((1 << width) - 1, 2) == 1
+        assert cast_table(Opcode.TRUNC, width, 2).entries is None
+        assert cast_table(Opcode.ZEXT, 2, width).entries is not None
+
+    def test_tables_are_built_once(self):
+        assert binop_table(Opcode.MUL, 3, NEW, nsw=True) \
+            is binop_table(Opcode.MUL, 3, OLD, nsw=True)
+        # only shifts read the out-of-range reading
+        assert binop_table(Opcode.SHL, 3, NEW) \
+            is not binop_table(Opcode.SHL, 3, OLD)
 
 
 @st.composite
 def binop_cases(draw):
     opcode = draw(st.sampled_from(BINOPS))
-    width = draw(st.integers(1, MAX_WIDTH))
+    width = draw(st.integers(1, TABLE_MAX_WIDTH))
     nsw = nuw = exact = False
     if opcode in WRAP_FLAG_OPS:
         nsw = draw(st.booleans())
@@ -163,6 +357,8 @@ def binop_cases(draw):
 
 
 class TestBinopKernels:
+    """The gather kernel over binop tables, on random lanes."""
+
     @given(binop_cases())
     def test_matches_scalar_evaluators(self, case):
         _check_binop_lanes(*case)
@@ -171,35 +367,16 @@ class TestBinopKernels:
     def test_exhaustive_small_width(self, opcode):
         """Every (a, b) pair over i2 including poison lanes, under
         every meaningful flag combination."""
-        width = 2
-        flag_sets = [(False, False, False)]
-        if opcode in WRAP_FLAG_OPS:
-            flag_sets += [(True, False, False), (False, True, False),
-                          (True, True, False)]
-        if opcode in EXACT_OPS:
-            flag_sets += [(False, False, True)]
-        candidates = [(v, False) for v in range(4)] + [(0, True)]
-        lanes = [(a, ap, b, bp)
-                 for a, ap in candidates for b, bp in candidates]
-        for nsw, nuw, exact in flag_sets:
-            _check_binop_lanes(opcode, width, lanes, nsw, nuw, exact)
+        for nsw, nuw, exact in _flag_sets(opcode):
+            _check_binop_lanes(opcode, 2, _all_lanes(2), nsw, nuw, exact)
 
     @pytest.mark.parametrize("opcode", [Opcode.SHL, Opcode.LSHR,
                                         Opcode.ASHR])
     def test_shift_under_undef_config_matches_eval_binop(self, opcode):
         # OLD's out-of-range shifts produce undef: every (a, b) pair at
         # i3, amounts 3..7 out of range, poison lanes and all flags.
-        width = 3
-        candidates = [(v, False) for v in range(8)] + [(0, True)]
-        lanes = [(a, ap, b, bp)
-                 for a, ap in candidates for b, bp in candidates]
-        for nsw, nuw, exact in [(False, False, False), (True, True, False),
-                                (False, False, True)]:
-            if opcode is not Opcode.SHL and (nsw or nuw):
-                continue
-            if opcode is Opcode.SHL and exact:
-                continue
-            _check_binop_lanes(opcode, width, lanes, nsw, nuw, exact,
+        for nsw, nuw, exact in _flag_sets(opcode):
+            _check_binop_lanes(opcode, 3, _all_lanes(3), nsw, nuw, exact,
                                config=OLD)
 
     @given(binop_cases())
@@ -208,8 +385,10 @@ class TestBinopKernels:
 
 
 class TestIcmpKernels:
+    """The gather kernel over icmp tables."""
+
     @given(st.sampled_from(list(IcmpPred)),
-           st.integers(1, MAX_WIDTH),
+           st.integers(1, TABLE_MAX_WIDTH),
            st.data())
     def test_matches_scalar_evaluators(self, pred, width, data):
         maxu = (1 << width) - 1
@@ -217,7 +396,7 @@ class TestIcmpKernels:
             st.tuples(st.integers(0, maxu), st.booleans(),
                       st.integers(0, maxu), st.booleans()),
             min_size=1, max_size=24))
-        kernel = vector_icmp_kernel(pred, width)
+        kernel = _gather_kernel(icmp_table(pred, width))
         specialized = icmp_evaluator(pred, width)
         aval, apois, bval, bpois = _lane_arrays(lanes)
         val, pois, ub, undef = kernel(aval, apois, bval, bpois)
@@ -232,32 +411,26 @@ class TestIcmpKernels:
                 f"{pred.value} w={width} lane {i}: a={sa} b={sb}"
 
     def test_exhaustive_small_width(self):
-        width = 3
-        candidates = [(v, False) for v in range(8)] + [(0, True)]
-        lanes = [(a, ap, b, bp)
-                 for a, ap in candidates for b, bp in candidates]
+        lanes = _all_lanes(3)
         aval, apois, bval, bpois = _lane_arrays(lanes)
         for pred in IcmpPred:
-            val, pois, _, _ = vector_icmp_kernel(pred, width)(
+            val, pois, _, _ = _gather_kernel(icmp_table(pred, 3))(
                 aval, apois, bval, bpois)
             for i, (a, ap, b, bp) in enumerate(lanes):
                 sa = POISON if ap else a
                 sb = POISON if bp else b
-                want = _scalar_outcome(eval_icmp, pred, sa, sb, width)
+                want = _scalar_outcome(eval_icmp, pred, sa, sb, 3)
                 assert _kernel_outcome(val, pois, None, i) == want
-
-
-CAST_OPS = [Opcode.ZEXT, Opcode.SEXT, Opcode.TRUNC]
 
 
 @st.composite
 def cast_cases(draw):
     opcode = draw(st.sampled_from(CAST_OPS))
     if opcode is Opcode.TRUNC:
-        src_w = draw(st.integers(2, MAX_WIDTH))
+        src_w = draw(st.integers(2, TABLE_MAX_WIDTH))
         dest_w = draw(st.integers(1, src_w - 1))
     else:
-        dest_w = draw(st.integers(2, MAX_WIDTH))
+        dest_w = draw(st.integers(2, TABLE_MAX_WIDTH))
         src_w = draw(st.integers(1, dest_w - 1))
     maxu = (1 << src_w) - 1
     lanes = draw(st.lists(
@@ -267,10 +440,12 @@ def cast_cases(draw):
 
 
 class TestCastKernels:
+    """The gather kernel over cast tables."""
+
     @given(cast_cases())
     def test_matches_scalar_evaluators(self, case):
         opcode, src_w, dest_w, lanes = case
-        kernel = vector_cast_kernel(opcode, src_w, dest_w)
+        kernel = _gather_kernel(cast_table(opcode, src_w, dest_w))
         specialized = cast_evaluator(opcode, src_w, dest_w)
         aval = np.array([a for a, _ in lanes], dtype=np.int64)
         apois = np.array([ap for _, ap in lanes], dtype=bool)
@@ -286,9 +461,16 @@ class TestCastKernels:
                  f"a={sa}")
 
     def test_pointer_casts_are_ineligible(self):
+        fn = parse_function("""
+define i4 @f(i4* %p) {
+entry:
+  %r = ptrtoint i4* %p to i4
+  ret i4 %r
+}
+""")
         with pytest.raises(VectorIneligible) as exc:
-            vector_cast_kernel(Opcode.PTRTOINT, 4, 8)
-        assert exc.value.reason == "unsupported-op"
+            VectorPlan(fn, NEW)
+        assert exc.value.reason == "non-int-type"
 
 
 # ---------------------------------------------------------------------------

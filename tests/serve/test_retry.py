@@ -150,6 +150,23 @@ class TestRetryingClient:
             assert err.value.code == "queue-full"
             assert "circuit breaker open" in str(err.value)
 
+    def test_clients_draw_independent_backoff_schedules(self,
+                                                        monkeypatch):
+        # one shared seed would make every client retry in lockstep
+        delays = []
+        monkeypatch.setattr(retry.time, "sleep", delays.append)
+        port = free_port()
+        schedules = []
+        for _ in range(2):
+            with RetryingClient(port=port, attempts=3,
+                                breaker=CircuitBreaker()) as client:
+                with pytest.raises(ServeError):
+                    client.ping()
+            schedules.append(list(delays))
+            delays.clear()
+        assert len(schedules[0]) == len(schedules[1]) == 2
+        assert schedules[0] != schedules[1]
+
     def test_half_open_trial_heals_against_a_live_server(self):
         def scenario(host, port):
             clock = FakeClock()
