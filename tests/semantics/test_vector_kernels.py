@@ -305,15 +305,13 @@ class TestOpTables:
                 kernel(aval, apois, bval, bpois), aval.shape)
             for aval_s, apois_s in candidates:
                 one = kernel(aval_s, apois_s, bval, bpois)
-                assert all(x is None or not np.ndim(x) for x in one)
+                assert all(x is None or np.ndim(x) == 0 for x in one)
+                val1, pois1, ub1, undef1 = (
+                    None if x is None else np.atleast_1d(x) for x in one)
                 sa = POISON if apois_s else int(aval_s)
                 want = _tag(_scalar_outcome(eval_binop, opcode, sa, sb,
                                             width, config))
-                assert _kernel_outcome(*(None if x is None
-                                         else np.reshape(x, 1)
-                                         for x in one[:3]), 0,
-                                       None if one[3] is None
-                                       else np.reshape(one[3], 1)) == want
+                assert _kernel_outcome(val1, pois1, ub1, 0, undef1) == want
             for i, (a, ap, _, _) in enumerate(lanes):
                 sa = POISON if ap else a
                 want = _tag(_scalar_outcome(eval_binop, opcode, sa, sb,
